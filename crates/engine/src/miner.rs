@@ -51,6 +51,14 @@ pub struct MineOutcome {
     /// semantics are per-algorithm: MNI/disjoint embeddings for SpiderMine,
     /// disjoint instances for SUBDUE, transactions for ORIGAMI, …).
     pub patterns: Vec<StreamedPattern>,
+    /// Where each pattern stood in the run's stream: `patterns[i]` went
+    /// through the [`MineContext`] sink `stream_order[i]`-th. Empty when the
+    /// run streamed its patterns in result order, as every algorithm but
+    /// SpiderMine does; SpiderMine streams each pattern the moment its
+    /// select stage accepts it and ranks the list afterwards. Wall-clock
+    /// free and deterministic, but not part of the semantic encoding (it
+    /// describes the stream, not the result), and not carried over the wire.
+    pub stream_order: Vec<usize>,
     /// True if a fired [`CancelToken`](crate::CancelToken) wound the run down
     /// early; `patterns` is then a valid partial result.
     pub cancelled: bool,
@@ -123,6 +131,7 @@ fn finish_outcome(
     MineOutcome {
         algorithm,
         patterns,
+        stream_order: Vec::new(),
         cancelled: ctx.was_cancelled(),
         timed_out: ctx.timed_out(),
         stages: ctx.take_timings(),
@@ -184,6 +193,7 @@ impl Miner for SpiderMineEngine {
             .collect();
         let mut outcome = finish_outcome(self.algorithm(), patterns, ctx, start);
         outcome.dropped_embeddings = dropped;
+        outcome.stream_order = result.stream_order;
         Ok(outcome)
     }
 }

@@ -4,22 +4,25 @@
 //! socket: a [`MineRequest`] travelling client → server, accepted
 //! [`StreamedPattern`]s travelling server → client as the run produces them,
 //! and the run's [`MineOutcome`] metadata once it finishes. This module
-//! defines the byte-level encodings for all three, in the same defensive
-//! style as the `SPDRSNAP` snapshot format: every integer is little-endian,
-//! every variable-length section is length-prefixed, and the decoder is a
-//! bounds-checked cursor that reports malformed input as a typed
-//! [`WireError`] — hostile bytes can never panic or over-allocate.
+//! defines the byte-level encodings for all three: every integer is
+//! little-endian, every variable-length section is length- or
+//! count-prefixed, and the decoder is a bounds-checked cursor that reports
+//! malformed input as a typed [`WireError`] — hostile bytes can never panic
+//! or over-allocate.
 //!
 //! Determinism matters here: the transport's contract is that a remote run's
 //! reconstructed outcome is *byte-identical* (under
-//! [`encode_outcome_semantic`]) to an in-process run. Pattern graphs ride as
-//! `SPDRSNAP` snapshot bytes, whose writer is deterministic, so
-//! `encode(decode(encode(p))) == encode(p)` holds for every pattern.
+//! [`encode_outcome_semantic`]) to an in-process run. Patterns ride in a
+//! compact canonical form (labels, the edge list as strictly ascending
+//! `u < v` pairs, support, one flat embedding block; see [`encode_pattern`])
+//! that the decoder accepts only in that canonical shape, so
+//! `encode(decode(b)) == b` holds for every byte string that decodes.
+//! Integrity is the frame checksum's job, not this layer's.
 
 use crate::error::MineError;
 use crate::miner::MineOutcome;
 use crate::request::{Algorithm, MineRequest};
-use spidermine_graph::io::{graph_from_snapshot, snapshot_bytes};
+use spidermine_graph::{Label, LabeledGraph, VertexId};
 use spidermine_mining::context::{StageTiming, StreamedPattern};
 use spidermine_mining::support::SupportMeasure;
 use std::fmt;
@@ -29,11 +32,12 @@ use std::time::Duration;
 /// Version tag carried by every encoded form in this module. Bumped on any
 /// incompatible layout change; decoders reject other versions instead of
 /// misreading bytes.
-pub const WIRE_VERSION: u16 = 1;
+pub const WIRE_VERSION: u16 = 2;
 
-/// Hard ceiling on any single length-prefixed section (strings, embedding
-/// lists, snapshot bytes). A hostile peer can declare arbitrary lengths; the
-/// decoder refuses anything beyond this before allocating.
+/// Hard ceiling on any single length- or count-prefixed section (strings,
+/// a pattern's labels, edges and embedding block). A hostile peer can
+/// declare arbitrary lengths; the decoder refuses anything beyond this
+/// before allocating.
 const MAX_SECTION: usize = 64 << 20;
 
 /// Cap on the count of distinct stage names the decoder will intern (stage
@@ -59,7 +63,7 @@ pub enum WireError {
         actual: usize,
     },
     /// A field held a value that cannot be represented (unknown enum name,
-    /// invalid UTF-8, embedded snapshot rejected, length over the cap, …).
+    /// invalid UTF-8, non-canonical pattern, length over the cap, …).
     Corrupt(String),
     /// The encoded form declared an unsupported wire version.
     UnsupportedVersion(u16),
@@ -97,6 +101,13 @@ impl WireWriter {
     /// A fresh, empty writer.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty writer with room for `bytes` bytes.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(bytes),
+        }
     }
 
     /// The bytes written so far.
@@ -345,17 +356,39 @@ pub fn decode_request(bytes: &[u8]) -> Result<MineRequest, WireError> {
 // StreamedPattern
 // ---------------------------------------------------------------------------
 
-/// Encodes one accepted pattern: the pattern graph as deterministic
-/// `SPDRSNAP` snapshot bytes, the support value, and the retained embeddings
-/// (host-graph vertex ids, one row per embedding).
+/// Encodes one accepted pattern in the compact layout:
+///
+/// ```text
+/// u16            WIRE_VERSION
+/// u32 n, n×u32   vertex labels, by vertex id
+/// u32 m, m×2×u32 edges as (u, v) pairs, u < v, strictly ascending
+/// u64            support
+/// u32 rows       embedding count, then rows × n u32 host vertex ids
+/// ```
+///
+/// The embedding block is flat: every row holds exactly one host vertex per
+/// pattern vertex, so no per-row length is sent. A pattern whose rows do not
+/// all have `n` entries encodes bytes that [`decode_pattern`] rejects.
 pub fn encode_pattern(pattern: &StreamedPattern) -> Vec<u8> {
-    let mut w = WireWriter::new();
+    let graph = &pattern.pattern;
+    let n = graph.vertex_count();
+    let cells: usize = pattern.embeddings.iter().map(Vec::len).sum();
+    let mut w = WireWriter::with_capacity(26 + 4 * n + 8 * graph.edge_count() + 4 * cells);
     w.put_u16(WIRE_VERSION);
-    w.put_bytes(&snapshot_bytes(&pattern.pattern));
+    w.put_u32(n as u32);
+    for label in graph.labels() {
+        w.put_u32(label.0);
+    }
+    w.put_u32(graph.edge_count() as u32);
+    // `edges` yields `u < v` pairs in ascending (u, v) order: the canonical
+    // order the decoder insists on.
+    for (u, v) in graph.edges() {
+        w.put_u32(u.0);
+        w.put_u32(v.0);
+    }
     w.put_u64(pattern.support as u64);
     w.put_u32(pattern.embeddings.len() as u32);
     for embedding in &pattern.embeddings {
-        w.put_u32(embedding.len() as u32);
         for &v in embedding {
             w.put_u32(v.0);
         }
@@ -363,36 +396,92 @@ pub fn encode_pattern(pattern: &StreamedPattern) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Decodes a pattern encoded by [`encode_pattern`]. The embedded snapshot is
-/// revalidated in full (magic, checksum, structural invariants), so a
-/// bit-flipped pattern graph surfaces as a typed error here rather than as a
-/// malformed graph downstream.
+/// Reads a `u32` count of `width`-byte items and returns the items' bytes.
+/// The declared size is checked against the section cap and the bytes
+/// actually present *before* anything is allocated.
+fn get_counted<'a>(
+    r: &mut WireReader<'a>,
+    width: usize,
+    what: &str,
+) -> Result<(usize, &'a [u8]), WireError> {
+    let count = r.get_u32()? as usize;
+    let len = count
+        .checked_mul(width)
+        .filter(|&len| len <= MAX_SECTION)
+        .ok_or_else(|| {
+            WireError::Corrupt(format!(
+                "declared {what} count {count} exceeds the {MAX_SECTION}-byte section cap"
+            ))
+        })?;
+    Ok((count, r.take(len)?))
+}
+
+fn le_u32s(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    bytes
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes(c.try_into().expect("chunks_exact yields 4-byte chunks")))
+}
+
+/// Decodes a pattern encoded by [`encode_pattern`], accepting only the
+/// canonical form: every edge endpoint in range, no self-loops, each pair
+/// `u < v`, pairs strictly ascending (so no duplicates), and an embedding
+/// block of exactly `rows × n` entries. Anything else is a typed
+/// [`WireError`]; nothing is allocated beyond the bytes actually present.
 pub fn decode_pattern(bytes: &[u8]) -> Result<StreamedPattern, WireError> {
     let mut r = WireReader::new(bytes);
     let version = r.get_u16()?;
     if version != WIRE_VERSION {
         return Err(WireError::UnsupportedVersion(version));
     }
-    let graph = graph_from_snapshot(r.get_bytes()?)
-        .map_err(|e| WireError::Corrupt(format!("embedded pattern snapshot: {e}")))?;
-    let support = usize_field(r.get_u64()?, "support")?;
-    let rows = r.get_u32()? as usize;
-    let vertices = graph.vertex_count();
-    let mut embeddings = Vec::new();
-    for _ in 0..rows {
-        let len = r.get_u32()? as usize;
-        if len != vertices {
+    let (n, label_bytes) = get_counted(&mut r, 4, "vertex")?;
+    let (_, edge_bytes) = get_counted(&mut r, 8, "edge")?;
+    let mut graph = LabeledGraph::with_capacity(n);
+    for label in le_u32s(label_bytes) {
+        graph.add_vertex(Label(label));
+    }
+    let mut previous: Option<(u32, u32)> = None;
+    let mut endpoints = le_u32s(edge_bytes);
+    while let (Some(u), Some(v)) = (endpoints.next(), endpoints.next()) {
+        if v as usize >= n {
             return Err(WireError::Corrupt(format!(
-                "embedding row of length {len} for a {vertices}-vertex pattern"
+                "edge ({u}, {v}) names a vertex outside the {n}-vertex pattern"
             )));
         }
-        let mut row = Vec::with_capacity(len);
-        for _ in 0..len {
-            row.push(spidermine_graph::VertexId(r.get_u32()?));
+        if u >= v {
+            return Err(WireError::Corrupt(if u == v {
+                format!("self-loop on vertex {u}")
+            } else {
+                format!("edge ({u}, {v}) is not written as u < v")
+            }));
         }
-        embeddings.push(row);
+        if previous.is_some_and(|p| p >= (u, v)) {
+            return Err(WireError::Corrupt(format!(
+                "edge ({u}, {v}) breaks the strictly ascending edge order"
+            )));
+        }
+        previous = Some((u, v));
+        graph.add_edge(VertexId(u), VertexId(v));
     }
-    r.finish()?;
+    let support = usize_field(r.get_u64()?, "support")?;
+    let rows = r.get_u32()? as usize;
+    if n == 0 && rows > 0 {
+        return Err(WireError::Corrupt(format!(
+            "{rows} embedding rows for a pattern with no vertices"
+        )));
+    }
+    // The block is the last section, so its size must be exactly the rest
+    // of the buffer: a short or long row shows up here as a size mismatch.
+    let block = r.take(r.remaining())?;
+    if rows.checked_mul(4 * n) != Some(block.len()) {
+        return Err(WireError::Corrupt(format!(
+            "embedding block of {} bytes for {rows} rows of a {n}-vertex pattern",
+            block.len()
+        )));
+    }
+    let embeddings = block
+        .chunks_exact(4 * n.max(1))
+        .map(|row| le_u32s(row).map(VertexId).collect())
+        .collect();
     Ok(StreamedPattern {
         pattern: graph,
         support,
@@ -497,6 +586,7 @@ pub fn decode_outcome_meta(bytes: &[u8]) -> Result<MineOutcome, WireError> {
     Ok(MineOutcome {
         algorithm,
         patterns: Vec::new(),
+        stream_order: Vec::new(),
         cancelled,
         timed_out,
         stages,
@@ -640,20 +730,105 @@ mod tests {
                 "truncation at {len} accepted"
             );
         }
-        // A flipped bit lands in the snapshot (checksum catches it), a
-        // length field (truncation/corruption), or the embedding section
-        // (row-length mismatch) — always a typed error or a changed-but-valid
-        // value, never a panic.
+        // A flipped bit lands in a count (truncation/corruption), an edge
+        // (broken canonical order, or a different valid edge list), a label,
+        // the support or an embedding cell (a different valid value): always
+        // a typed error or a value that re-encodes to exactly the flipped
+        // bytes, never a panic.
         for bit in 0..bytes.len() * 8 {
             let mut flipped = bytes.clone();
             flipped[bit / 8] ^= 1 << (bit % 8);
-            let _ = decode_pattern(&flipped);
+            if let Ok(decoded) = decode_pattern(&flipped) {
+                assert_eq!(encode_pattern(&decoded), flipped, "bit {bit}");
+            }
         }
-        // Embedding rows must match the pattern's vertex count.
-        let mut pattern = sample_pattern();
-        pattern.embeddings.push(vec![VertexId(1)]);
-        let err = decode_pattern(&encode_pattern(&pattern)).unwrap_err();
-        assert!(matches!(err, WireError::Corrupt(_)), "{err:?}");
+        // Embedding rows must match the pattern's vertex count, short or long.
+        for row in [vec![VertexId(1)], vec![VertexId(1); 4]] {
+            let mut pattern = sample_pattern();
+            pattern.embeddings.push(row);
+            let err = decode_pattern(&encode_pattern(&pattern)).unwrap_err();
+            assert!(matches!(err, WireError::Corrupt(_)), "{err:?}");
+        }
+    }
+
+    /// Hand-assembles a compact pattern: labels, raw edge pairs, support 1,
+    /// no embeddings.
+    fn raw_pattern(labels: &[u32], edges: &[(u32, u32)]) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.put_u16(WIRE_VERSION);
+        w.put_u32(labels.len() as u32);
+        for &l in labels {
+            w.put_u32(l);
+        }
+        w.put_u32(edges.len() as u32);
+        for &(u, v) in edges {
+            w.put_u32(u);
+            w.put_u32(v);
+        }
+        w.put_u64(1);
+        w.put_u32(0);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn non_canonical_edge_lists_are_rejected() {
+        let labels = [1, 2, 3];
+        let ok = raw_pattern(&labels, &[(0, 1), (0, 2), (1, 2)]);
+        let decoded = decode_pattern(&ok).expect("canonical edges decode");
+        assert_eq!(decoded.pattern.edge_count(), 3);
+        assert_eq!(encode_pattern(&decoded), ok);
+        for (what, edges) in [
+            ("unsorted", vec![(0, 2), (0, 1)]),
+            ("duplicate", vec![(0, 1), (0, 1)]),
+            ("reversed pair", vec![(1, 0)]),
+            ("self-loop", vec![(1, 1)]),
+            ("out of range", vec![(0, 3)]),
+            ("far out of range", vec![(0, u32::MAX)]),
+        ] {
+            let err = decode_pattern(&raw_pattern(&labels, &edges)).unwrap_err();
+            assert!(matches!(err, WireError::Corrupt(_)), "{what}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn over_cap_counts_are_rejected_before_allocation() {
+        // Each declared count would need gigabytes; the decoder must refuse
+        // from the count alone, on a buffer of a few bytes.
+        let mut w = WireWriter::new();
+        w.put_u16(WIRE_VERSION);
+        w.put_u32(u32::MAX);
+        assert!(matches!(
+            decode_pattern(&w.into_bytes()).unwrap_err(),
+            WireError::Corrupt(_)
+        ));
+        let mut w = WireWriter::new();
+        w.put_u16(WIRE_VERSION);
+        w.put_u32(0);
+        w.put_u32(u32::MAX);
+        assert!(matches!(
+            decode_pattern(&w.into_bytes()).unwrap_err(),
+            WireError::Corrupt(_)
+        ));
+        // Under the cap but beyond the bytes present: truncated, not
+        // allocated.
+        let mut w = WireWriter::new();
+        w.put_u16(WIRE_VERSION);
+        w.put_u32(1 << 20);
+        assert!(matches!(
+            decode_pattern(&w.into_bytes()).unwrap_err(),
+            WireError::Truncated { .. }
+        ));
+        // A huge row count: rejected for a vertex-less pattern, and as a
+        // block-size mismatch otherwise.
+        for labels in [&[][..], &[7][..]] {
+            let mut bytes = raw_pattern(labels, &[]);
+            let rows_at = bytes.len() - 4;
+            bytes[rows_at..].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert!(matches!(
+                decode_pattern(&bytes).unwrap_err(),
+                WireError::Corrupt(_)
+            ));
+        }
     }
 
     #[test]
@@ -661,6 +836,7 @@ mod tests {
         let outcome = MineOutcome {
             algorithm: Algorithm::Seus,
             patterns: Vec::new(),
+            stream_order: Vec::new(),
             cancelled: true,
             timed_out: true,
             stages: vec![
@@ -699,6 +875,7 @@ mod tests {
         let mut a = MineOutcome {
             algorithm: Algorithm::Moss,
             patterns: vec![sample_pattern()],
+            stream_order: Vec::new(),
             cancelled: false,
             timed_out: false,
             stages: Vec::new(),

@@ -617,7 +617,14 @@ pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> std::io::Result<()>
         .file_name()
         .and_then(|n| n.to_str())
         .unwrap_or("snapshot");
-    let tmp = path.with_file_name(format!(".{file_name}.tmp.{}", std::process::id()));
+    // Unique per call, not just per process: two threads saving the same
+    // path must not share (and rename away) one temporary file.
+    static NEXT_TMP: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let tmp = path.with_file_name(format!(
+        ".{file_name}.tmp.{}.{}",
+        std::process::id(),
+        NEXT_TMP.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+    ));
     let result = (|| {
         let mut f = std::fs::File::create(&tmp)?;
         f.write_all(bytes)?;

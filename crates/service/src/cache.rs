@@ -314,6 +314,7 @@ mod tests {
         Arc::new(MineOutcome {
             algorithm: Algorithm::SpiderMine,
             patterns: Vec::new(),
+            stream_order: Vec::new(),
             cancelled: false,
             timed_out: false,
             stages: Vec::new(),

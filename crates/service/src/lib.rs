@@ -61,8 +61,8 @@ pub use catalog::{GraphCatalog, GraphSnapshot, MANIFEST_FILE};
 pub use clients::{ClientRegistry, ClientStats};
 pub use error::ServiceError;
 pub use scheduler::{
-    JobHandle, JobMetrics, JobScheduler, JobStatus, PatternObserver, Priority, ServiceConfig,
-    ServiceMetrics, SubmitOptions,
+    CompletionCallback, JobHandle, JobMetrics, JobScheduler, JobStatus, PatternObserver, Priority,
+    ServiceConfig, ServiceMetrics, SubmitOptions,
 };
 pub use spidermine_faultline::RetryPolicy;
 

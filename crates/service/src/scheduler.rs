@@ -87,15 +87,32 @@ pub enum Priority {
 
 /// Callback invoked for every accepted pattern a job delivers, installed via
 /// [`SubmitOptions::observer`]. For a freshly mined job it fires from the
-/// dispatcher thread as the engine accepts each pattern (the same push
-/// stream [`MineContext::on_pattern`] carries in-process); for a
-/// cache-served job the scheduler *replays* the cached outcome's patterns
-/// through it, in outcome order, before the handle turns terminal. Either
-/// way the contract is: the observer sees every pattern of the job's final
-/// outcome exactly once, all before [`JobHandle::wait`] returns. This is
-/// what lets the remote transport stream patterns incrementally over the
-/// wire without buffering the run.
+/// dispatcher thread as the engine emits each pattern (the same push stream
+/// [`MineContext::on_pattern`] carries in-process); for a cache-served job
+/// the scheduler *replays* the cached outcome's patterns through it, in
+/// outcome order, before the handle turns terminal. Either way the contract
+/// is: the observer sees every pattern of the job's final outcome exactly
+/// once, all before [`JobHandle::wait`] returns and before the
+/// [`CompletionCallback`] fires. The order is the outcome's own for a replay
+/// and for every algorithm that streams in result order; a freshly mined
+/// outcome whose [`MineOutcome::stream_order`] is non-empty (SpiderMine
+/// streams as it accepts, then ranks) says which observer call carried each
+/// outcome pattern. This is what lets the remote transport stream patterns
+/// incrementally over the wire without buffering the run, and send the
+/// `Done` frame's order table without re-encoding a pattern.
 pub type PatternObserver = Arc<dyn Fn(&StreamedPattern) + Send + Sync>;
+
+/// One-shot callback installed via [`SubmitOptions::on_complete`]. The
+/// scheduler calls it exactly once per admitted job, on the thread that
+/// settles the job, right after the job turns terminal and its lock is
+/// released — on every path: mined, cache hit, served behind a parked
+/// single-flight leader, cancelled (while queued, mid-run, or by a drain or
+/// deadline), failed, and after panic retries. It runs after the job's
+/// last observer call, so anything the observer queued is ahead of what the
+/// callback queues. The handle it receives is terminal: `wait()` returns
+/// immediately. A rejected submission never calls it. Keep it short: it
+/// runs on a dispatcher thread.
+pub type CompletionCallback = Box<dyn FnOnce(&JobHandle) + Send>;
 
 /// Per-submission options beyond the graph name and request.
 #[derive(Default)]
@@ -104,6 +121,8 @@ pub struct SubmitOptions {
     pub priority: Priority,
     /// Streaming observer; see [`PatternObserver`].
     pub observer: Option<PatternObserver>,
+    /// Completion callback; see [`CompletionCallback`].
+    pub on_complete: Option<CompletionCallback>,
     /// Client name this submission is attributed to in the per-client
     /// counters ([`JobScheduler::clients`]). `None` leaves the registry
     /// untouched.
@@ -122,6 +141,7 @@ impl std::fmt::Debug for SubmitOptions {
         f.debug_struct("SubmitOptions")
             .field("priority", &self.priority)
             .field("observer", &self.observer.as_ref().map(|_| "Fn"))
+            .field("on_complete", &self.on_complete.as_ref().map(|_| "FnOnce"))
             .field("client", &self.client)
             .field("retry", &self.retry)
             .field("trace", &self.trace)
@@ -225,6 +245,8 @@ struct JobState {
     outcome: Option<Arc<MineOutcome>>,
     error: Option<ServiceError>,
     metrics: Option<JobMetrics>,
+    /// Taken (and called) by `finish` when the job turns terminal.
+    on_complete: Option<CompletionCallback>,
 }
 
 struct JobShared {
@@ -647,6 +669,7 @@ impl JobScheduler {
                 outcome: None,
                 error: None,
                 metrics: None,
+                on_complete: options.on_complete,
             }),
             finished: Condvar::new(),
             cancel: CancelToken::new(),
@@ -1079,6 +1102,7 @@ fn empty_cancelled_outcome(job: &QueuedJob) -> MineOutcome {
     MineOutcome {
         algorithm: job.engine.algorithm(),
         patterns: Vec::new(),
+        stream_order: Vec::new(),
         cancelled: true,
         timed_out: false,
         stages: Vec::new(),
@@ -1135,8 +1159,14 @@ fn finish(
     state.outcome = outcome;
     state.error = error;
     state.metrics = Some(metrics);
+    let on_complete = state.on_complete.take();
     drop(state);
     job.shared.finished.notify_all();
+    if let Some(on_complete) = on_complete {
+        on_complete(&JobHandle {
+            shared: job.shared.clone(),
+        });
+    }
 }
 
 #[cfg(test)]
@@ -1400,6 +1430,7 @@ mod tests {
                     outcome: None,
                     error: None,
                     metrics: None,
+                    on_complete: None,
                 }),
                 finished: Condvar::new(),
                 cancel: CancelToken::new(),
@@ -1459,6 +1490,7 @@ mod tests {
                         outcome: None,
                         error: None,
                         metrics: None,
+                        on_complete: None,
                     }),
                     finished: Condvar::new(),
                     cancel: CancelToken::new(),
@@ -1504,6 +1536,7 @@ mod tests {
                     outcome: None,
                     error: None,
                     metrics: None,
+                    on_complete: None,
                 }),
                 finished: Condvar::new(),
                 cancel: CancelToken::new(),

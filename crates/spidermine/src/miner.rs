@@ -119,8 +119,8 @@ impl SpiderMiner {
             stats.cancelled = ctx.was_cancelled();
             stats.total_time = total_start.elapsed();
             return MiningResult {
-                patterns: Vec::new(),
                 stats,
+                ..MiningResult::default()
             };
         }
 
@@ -364,8 +364,8 @@ impl SpiderMiner {
         ctx.progress(ProgressEvent::StageStarted { stage: "select" });
         let select_start = Instant::now();
         let mut result = MiningResult {
-            patterns: Vec::new(),
             stats,
+            ..MiningResult::default()
         };
         pool.sort_by_key(|p| std::cmp::Reverse((p.size(), p.embedding_count(&store))));
         // Per-pattern support evaluation is independent, so each block of the
@@ -407,8 +407,11 @@ impl SpiderMiner {
                     p.merged,
                 );
                 // Stream the accepted pattern before final ranking: consumers
-                // see patterns in acceptance (pool) order, as they are found.
-                // (The clones happen only when a sink is installed.)
+                // see patterns in acceptance (pool) order, as they are found,
+                // while the rest of the select stage still runs. Ranking
+                // records each pattern's acceptance position in
+                // `stream_order`. (The clones happen only when a sink is
+                // installed.)
                 ctx.emit_with(|| StreamedPattern {
                     pattern: accepted.pattern.clone(),
                     support: accepted.support,

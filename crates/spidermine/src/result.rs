@@ -76,6 +76,11 @@ pub struct MiningStats {
 pub struct MiningResult {
     /// Top-K patterns, sorted by decreasing size (edges, then vertices).
     pub patterns: Vec<MinedPattern>,
+    /// For each pattern, the position at which the select stage accepted it
+    /// — and streamed it through the context's sink — before the final
+    /// ranking: `patterns[i]` was streamed `stream_order[i]`-th. Filled by
+    /// [`MiningResult::sort_patterns`].
+    pub stream_order: Vec<usize>,
     /// Work and timing statistics.
     pub stats: MiningStats,
 }
@@ -115,10 +120,18 @@ impl MiningResult {
             .unwrap_or(0)
     }
 
-    /// Sorts patterns by decreasing size; called by the miner before returning.
+    /// Sorts patterns by decreasing size (stable); called by the miner before
+    /// returning. Records where each pattern stood before the sort in
+    /// [`MiningResult::stream_order`].
     pub fn sort_patterns(&mut self) {
-        self.patterns
-            .sort_by_key(|p| std::cmp::Reverse((p.size_edges(), p.size_vertices(), p.support)));
+        let mut ranked: Vec<(usize, MinedPattern)> = std::mem::take(&mut self.patterns)
+            .into_iter()
+            .enumerate()
+            .collect();
+        ranked.sort_by_key(|(_, p)| {
+            std::cmp::Reverse((p.size_edges(), p.size_vertices(), p.support))
+        });
+        (self.stream_order, self.patterns) = ranked.into_iter().unzip();
     }
 }
 
@@ -183,6 +196,7 @@ mod tests {
         result.sort_patterns();
         let sizes: Vec<usize> = result.patterns.iter().map(|p| p.size_vertices()).collect();
         assert_eq!(sizes, vec![7, 5, 3]);
+        assert_eq!(result.stream_order, vec![1, 2, 0]);
     }
 
     #[test]

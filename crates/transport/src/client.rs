@@ -647,15 +647,12 @@ impl RemoteJob {
         let (from_cache, meta, order, trace) = self.done.take().expect("loop exits settled");
         let mut outcome = decode_outcome_meta(&meta)?;
         let mut patterns = Vec::with_capacity(order.len());
-        for reference in &order {
-            let bytes = match reference {
-                PatternRef::Streamed(seq) => self.streamed.get(*seq as usize).ok_or_else(|| {
-                    TransportError::Protocol(format!(
-                        "order table references unstreamed sequence {seq}"
-                    ))
-                })?,
-                PatternRef::Inline(bytes) => bytes,
-            };
+        for PatternRef::Streamed(seq) in &order {
+            let bytes = self.streamed.get(*seq as usize).ok_or_else(|| {
+                TransportError::Protocol(format!(
+                    "order table references unstreamed sequence {seq}"
+                ))
+            })?;
             patterns.push(decode_pattern(bytes)?);
         }
         outcome.patterns = patterns;

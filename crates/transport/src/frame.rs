@@ -6,12 +6,12 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic "SPWF"
-//!      4     2  protocol version (currently 1)
+//!      4     2  protocol version (currently 2)
 //!      6     2  frame type
 //!      8     4  payload length (≤ 64 MiB; larger declarations are rejected
 //!               before any allocation)
-//!     12     8  FNV-1a checksum over the version/type/length fields and
-//!               the payload
+//!     12     8  word-wise checksum over the version/type/length fields and
+//!               the payload (see `checksum`)
 //!     20     …  payload (per-frame-type encoding, see [`Frame`])
 //! ```
 //!
@@ -27,7 +27,6 @@
 use crate::error::{TransportError, WireRejection};
 use spidermine_engine::wire::{WireReader, WireWriter};
 use spidermine_faultline::{self as faultline, FaultKind, FaultSite};
-use spidermine_graph::signature::StableHasher;
 use spidermine_service::{CacheStats, ClientStats, ServiceMetrics};
 use std::io::{self, Read};
 use std::time::Duration;
@@ -35,7 +34,7 @@ use std::time::Duration;
 /// Frame magic: "SPiderWire Frame".
 pub const MAGIC: [u8; 4] = *b"SPWF";
 /// Protocol version spoken by this build.
-pub const PROTOCOL_VERSION: u16 = 1;
+pub const PROTOCOL_VERSION: u16 = 2;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 20;
 /// Hard cap on a single frame's payload. A header declaring more is
@@ -63,21 +62,19 @@ mod frame_type {
     pub const TRACE: u16 = 25;
 }
 
-/// One entry of a `Done` frame's outcome-order table: how to materialize
-/// outcome pattern *i* on the client.
+/// One entry of a `Done` frame's outcome-order table: which streamed frame
+/// carries outcome pattern *i*.
 ///
-/// Miners emit patterns as they are *accepted*, but an outcome's `patterns`
-/// list may be reordered afterwards (SpiderMine sorts its result), so the
-/// streamed sequence and the final list can disagree on order. The table
-/// maps each outcome position to the streamed frame carrying those exact
-/// bytes; a pattern that (exceptionally) never streamed rides inline.
+/// Every job streams its outcome's patterns exactly once (the
+/// `PatternObserver` contract). Cache replays and most algorithms stream in
+/// outcome order, so their table is the identity `0..n`; SpiderMine streams
+/// patterns as it accepts them and ranks afterwards, and the server copies
+/// the run's own record of that (`MineOutcome::stream_order`). No pattern
+/// is re-encoded or matched to build the table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PatternRef {
     /// Outcome pattern *i* is byte-identical to streamed frame `seq`.
     Streamed(u64),
-    /// Outcome pattern *i* carried inline (encoded
-    /// [`spidermine_engine::StreamedPattern`] bytes).
-    Inline(Vec<u8>),
 }
 
 /// Every frame the protocol speaks. Client → server: `Hello`, `Request`,
@@ -298,17 +295,8 @@ impl Frame {
                 w.put_u8(*from_cache as u8);
                 w.put_bytes(meta);
                 w.put_u32(order.len() as u32);
-                for entry in order {
-                    match entry {
-                        PatternRef::Streamed(seq) => {
-                            w.put_u8(0);
-                            w.put_u64(*seq);
-                        }
-                        PatternRef::Inline(bytes) => {
-                            w.put_u8(1);
-                            w.put_bytes(bytes);
-                        }
-                    }
+                for PatternRef::Streamed(seq) in order {
+                    w.put_u64(*seq);
                 }
             }
             Frame::Failed { id, message } => {
@@ -392,15 +380,7 @@ impl Frame {
                 let count = r.get_u32()? as usize;
                 let mut order = Vec::with_capacity(count.min(4096));
                 for _ in 0..count {
-                    order.push(match r.get_u8()? {
-                        0 => PatternRef::Streamed(r.get_u64()?),
-                        1 => PatternRef::Inline(r.get_bytes()?.to_vec()),
-                        other => {
-                            return Err(TransportError::Corrupt(format!(
-                                "invalid pattern-ref tag {other}"
-                            )))
-                        }
-                    });
+                    order.push(PatternRef::Streamed(r.get_u64()?));
                 }
                 Frame::Done {
                     id,
@@ -570,17 +550,49 @@ fn get_metrics(r: &mut WireReader<'_>) -> Result<ServiceMetrics, TransportError>
     Ok(m)
 }
 
-/// FNV-1a over the header's version/type/length fields *and* the payload.
-/// Covering the semantic header fields means a bit-flip anywhere in a frame
-/// (except the magic, caught by direct comparison, and the checksum field
-/// itself, caught by mismatch) is always detectable.
+/// One checksum step: xor the word in, multiply by an odd constant, then an
+/// xorshift. For a fixed word each of the three operations is a bijection of
+/// the state, and for a fixed state the step is a bijection of the word. So
+/// two inputs that differ in exactly one word reach different states after
+/// that word, and stay different through every later step: any corruption
+/// confined to one 8-byte word — every single-bit flip in particular — is
+/// always detected.
+#[inline(always)]
+fn checksum_step(state: u64, word: u64) -> u64 {
+    let x = (state ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    x ^ (x >> 29)
+}
+
+/// The frame checksum, over the header's version/type/length fields *and*
+/// the payload. It consumes the payload as little-endian `u64` words (one
+/// multiply per 8 bytes), then folds in the zero-padded tail and the payload
+/// length, and finishes with a bijective avalanche. Covering the semantic header fields means a
+/// bit-flip anywhere in a frame (except the magic, caught by direct
+/// comparison, and the checksum field itself, caught by mismatch) is always
+/// detectable.
+///
+/// This is a frame-integrity code only. Persisted digests (snapshot
+/// fingerprints, catalog names, cache keys) use the graph crate's
+/// `StableHasher`, which this does not replace.
 fn checksum(version: u16, frame_type: u16, declared: u32, payload: &[u8]) -> u64 {
-    let mut hasher = StableHasher::new();
-    hasher.write_u64(
-        u64::from(version) | (u64::from(frame_type) << 16) | (u64::from(declared) << 32),
-    );
-    hasher.write_bytes(payload);
-    hasher.finish()
+    let header = u64::from(version) | (u64::from(frame_type) << 16) | (u64::from(declared) << 32);
+    let mut state = checksum_step(0xcbf2_9ce4_8422_2325, header);
+    let mut words = payload.chunks_exact(8);
+    for word in &mut words {
+        let word = word.try_into().expect("chunks_exact yields 8-byte chunks");
+        state = checksum_step(state, u64::from_le_bytes(word));
+    }
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    state = checksum_step(state, u64::from_le_bytes(tail));
+    state = checksum_step(state, payload.len() as u64);
+    // Final avalanche (murmur3's fmix64), so the last words' bits spread
+    // over the whole stored value.
+    state ^= state >> 33;
+    state = state.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    state ^= state >> 33;
+    state = state.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    state ^ (state >> 33)
 }
 
 /// Encodes one frame: header (magic, version, type, length, checksum) plus
@@ -745,7 +757,7 @@ mod tests {
                 id: 7,
                 from_cache: true,
                 meta: vec![5, 5],
-                order: vec![PatternRef::Streamed(1), PatternRef::Inline(vec![3])],
+                order: vec![PatternRef::Streamed(0), PatternRef::Streamed(1)],
                 trace: 0xABCD,
             },
             Frame::Failed {
@@ -890,6 +902,74 @@ mod tests {
                 assert!(result.is_err(), "header flip at bit {bit} decoded");
             }
         }
+    }
+
+    /// A `Pattern` frame the size a served SpiderMine pattern has: a
+    /// 12-vertex pattern with 260 embeddings, about 12.8 KB encoded.
+    fn large_pattern_frame() -> Vec<u8> {
+        use spidermine_engine::StreamedPattern;
+        use spidermine_graph::{Label, LabeledGraph, VertexId};
+        let labels: Vec<Label> = (0..12).map(|i| Label(i % 5)).collect();
+        let edges: Vec<(u32, u32)> = (1..12).map(|v| (v / 2, v)).chain([(0, 11)]).collect();
+        let pattern = StreamedPattern {
+            pattern: LabeledGraph::from_parts(&labels, &edges),
+            support: 260,
+            embeddings: (0..260u32)
+                .map(|row| (0..12).map(|i| VertexId(row * 12 + i)).collect())
+                .collect(),
+        };
+        encode_frame(&Frame::Pattern {
+            id: 4,
+            seq: 0,
+            pattern: spidermine_engine::wire::encode_pattern(&pattern),
+        })
+    }
+
+    #[test]
+    fn every_single_bitflip_in_a_pattern_frame_is_detected() {
+        let bytes = large_pattern_frame();
+        assert!(bytes.len() > 12_000, "{} bytes", bytes.len());
+        let mut flipped = bytes.clone();
+        for bit in 0..bytes.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let result = read_frame(&mut flipped.as_slice());
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            if bit / 8 >= HEADER_LEN {
+                assert!(
+                    matches!(result, Err(TransportError::ChecksumMismatch { .. })),
+                    "payload flip at bit {bit} gave {result:?}"
+                );
+            } else {
+                assert!(result.is_err(), "header flip at bit {bit} decoded");
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_catches_every_single_word_difference() {
+        // The step is a bijection in the word for a fixed state, so any
+        // change confined to one 8-byte word — not only single bits — must
+        // move the checksum. Sweep a few multi-bit patterns over every word
+        // position of a payload with a ragged tail.
+        let payload: Vec<u8> = (0..61u8).map(|b| b.wrapping_mul(37)).collect();
+        let base = checksum(PROTOCOL_VERSION, 18, payload.len() as u32, &payload);
+        for start in (0..payload.len()).step_by(8) {
+            for mask in [0xffu8, 0x81, 0x5a] {
+                let mut changed = payload.clone();
+                for byte in changed.iter_mut().skip(start).take(8) {
+                    *byte ^= mask;
+                }
+                let sum = checksum(PROTOCOL_VERSION, 18, changed.len() as u32, &changed);
+                assert_ne!(sum, base, "word at {start}, mask {mask:#x}");
+            }
+        }
+        // Trailing zero bytes are not free: the length is folded in.
+        let mut padded = payload.clone();
+        padded.push(0);
+        assert_ne!(
+            checksum(PROTOCOL_VERSION, 18, payload.len() as u32, &padded),
+            base
+        );
     }
 
     #[test]

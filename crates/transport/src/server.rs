@@ -21,7 +21,11 @@
 //! encodes each accepted pattern and queues a `Pattern` frame the moment the
 //! engine emits it — a client starts consuming results while the run is
 //! still mining, and duplicate requests served by the single-flight cache
-//! replay the cached patterns through the same path. A client disconnect
+//! replay the cached patterns through the same path. A
+//! [`CompletionCallback`](spidermine_service::CompletionCallback) installed
+//! next to it queues the `Done` (or `Failed`) frame from the thread that
+//! settles the job, behind the job's last `Pattern` frame, and releases the
+//! request's quota slot — no thread waits on a job. A client disconnect
 //! (clean or mid-frame) fires the cancel token of every job the connection
 //! still has in flight, so abandoned work stops burning dispatcher time.
 
@@ -30,7 +34,6 @@ use crate::frame::{encode_frame, read_frame, Frame, PatternRef};
 use spidermine_engine::wire::{encode_outcome_meta, encode_pattern};
 use spidermine_engine::MineRequest;
 use spidermine_faultline::{self as faultline, FaultKind, FaultSite};
-use spidermine_graph::signature::StableHasher;
 use spidermine_service::{JobHandle, MiningService, ServiceError, SubmitOptions};
 use spidermine_telemetry as telemetry;
 use std::collections::HashMap;
@@ -93,14 +96,15 @@ struct ServerShared {
     next_conn_id: AtomicU64,
     /// In-flight request count per client name (across connections).
     inflight: Mutex<HashMap<String, usize>>,
-    /// Joinable per-connection threads. Entries accumulate until shutdown;
-    /// at this server's scale (hundreds of connections) that is cheap, and
-    /// joining them makes shutdown deterministic.
+    /// Joinable per-connection threads. Finished ones are joined and dropped
+    /// at each accept, so a long-lived server whose clients reconnect holds
+    /// only its live connections' threads; shutdown joins the rest.
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
-/// Holds one slot of a client's in-flight quota; released on drop (after
-/// the job settles, or immediately if submission is rejected).
+/// Holds one slot of a client's in-flight quota; released on drop (by the
+/// completion callback once the job settles, or immediately if submission
+/// is rejected).
 struct QuotaSlot {
     shared: Arc<ServerShared>,
     client: String,
@@ -214,7 +218,8 @@ impl MiningServer {
                 let _ = entry.frames.send(draining.clone());
             }
         }
-        // Let in-flight work finish: the quota map empties as waiters settle.
+        // Let in-flight work finish: the quota map empties as completion
+        // callbacks release their slots.
         const POLL: Duration = Duration::from_millis(2);
         let start = Instant::now();
         let mut clean = true;
@@ -325,13 +330,22 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
                     .remove(&conn_id);
             })
             .expect("spawn connection thread");
-        shared.threads.lock().expect("threads lock").push(thread);
+        let mut threads = shared.threads.lock().expect("threads lock");
+        let (finished, running): (Vec<_>, Vec<_>) = std::mem::take(&mut *threads)
+            .into_iter()
+            .partition(JoinHandle::is_finished);
+        *threads = running;
+        threads.push(thread);
+        drop(threads);
+        for thread in finished {
+            let _ = thread.join();
+        }
     }
 }
 
 /// Sends encoded frames from a channel to the socket, serializing all
-/// producers (reader thread, dispatcher observers, waiter threads) onto one
-/// write stream. A write failure shuts the socket down so the reader
+/// producers (reader thread, dispatcher observers and completion callbacks)
+/// onto one write stream. A write failure shuts the socket down so the reader
 /// unblocks and tears the connection down.
 fn writer_loop(mut stream: TcpStream, frames: &mpsc::Receiver<Vec<u8>>) {
     while let Ok(bytes) = frames.recv() {
@@ -357,17 +371,15 @@ fn writer_loop(mut stream: TcpStream, frames: &mpsc::Receiver<Vec<u8>>) {
     }
 }
 
-/// State of one admitted request: the job handle, kept so `Cancel` frames
-/// and disconnect→cancel can fire its token.
+/// State of one in-flight request: the job handle, kept so `Cancel` frames
+/// and disconnect→cancel can fire its token. `None` from just before the
+/// submission until the scheduler returns the handle. The entry is removed
+/// by the job's completion callback.
 struct LiveRequest {
-    handle: JobHandle,
+    handle: Option<JobHandle>,
 }
 
-fn fnv_of(bytes: &[u8]) -> u64 {
-    let mut hasher = StableHasher::new();
-    hasher.write_bytes(bytes);
-    hasher.finish()
-}
+type LiveMap = Arc<Mutex<HashMap<u64, LiveRequest>>>;
 
 fn map_service_error(error: &ServiceError) -> WireRejection {
     match error {
@@ -398,8 +410,7 @@ fn serve_connection(
         .expect("spawn writer thread");
 
     let mut reader = stream;
-    let live: Arc<Mutex<HashMap<u64, LiveRequest>>> = Arc::new(Mutex::new(HashMap::new()));
-    let mut waiters: Vec<JoinHandle<()>> = Vec::new();
+    let live: LiveMap = Arc::new(Mutex::new(HashMap::new()));
     let mut client: Option<String> = None;
 
     let send = |frame: &Frame| {
@@ -484,17 +495,18 @@ fn serve_connection(
                 trace,
             } => {
                 let client = client.clone().expect("handshake done");
-                if let Some(waiter) = handle_request(
+                handle_request(
                     shared, &frames_tx, &live, &client, id, &graph, &request, trace,
-                ) {
-                    waiters.push(waiter);
-                }
+                );
             }
             Frame::Cancel { id } => {
                 // Unknown ids are ignored: cancelling a request that just
                 // settled is a benign race, not a protocol violation.
-                if let Some(request) = live.lock().expect("live lock").get(&id) {
-                    request.handle.cancel();
+                if let Some(LiveRequest {
+                    handle: Some(handle),
+                }) = live.lock().expect("live lock").get(&id)
+                {
+                    handle.cancel();
                 }
             }
             Frame::StatsRequest { id } => {
@@ -542,16 +554,18 @@ fn serve_connection(
 
     // Disconnect → cancel: fire the token of every job this connection
     // still has in flight. The jobs wind down cooperatively and record
-    // `cancelled` (not `failed`); their waiter threads then settle.
+    // `cancelled` (not `failed`); their completion callbacks then queue the
+    // final frames and release the quota.
     for request in live.lock().expect("live lock").values() {
-        request.handle.cancel();
-    }
-    for waiter in waiters {
-        let _ = waiter.join();
+        if let Some(handle) = &request.handle {
+            handle.cancel();
+        }
     }
     // Deregister *before* joining the writer: the registry entry holds a
     // sender clone, and the writer only exits once every sender is gone —
-    // leaving the entry in place until after the join would deadlock.
+    // leaving the entry in place until after the join would deadlock. The
+    // other senders are the in-flight jobs' observers and callbacks, so the
+    // join also waits for those jobs to settle and their frames to flush.
     shared
         .connections
         .lock()
@@ -563,19 +577,19 @@ fn serve_connection(
 }
 
 /// Admits one `Request` frame: decode, quota, scheduler submission, and —
-/// if accepted — the streaming observer and completion waiter. Returns the
-/// waiter thread handle on acceptance.
+/// if accepted — the streaming observer and the completion callback that
+/// sends the final frame.
 #[allow(clippy::too_many_arguments)]
 fn handle_request(
     shared: &Arc<ServerShared>,
     frames_tx: &mpsc::Sender<Vec<u8>>,
-    live: &Arc<Mutex<HashMap<u64, LiveRequest>>>,
+    live: &LiveMap,
     client: &str,
     id: u64,
     graph: &str,
     request_bytes: &[u8],
     trace: u64,
-) -> Option<JoinHandle<()>> {
+) {
     let send = |frame: &Frame| {
         let _ = frames_tx.send(encode_frame(frame));
     };
@@ -591,7 +605,7 @@ fn handle_request(
             // connection error.
             shared.service.clients().record_rejected(client);
             reject(WireRejection::InvalidRequest(error.to_string()));
-            return None;
+            return;
         }
     };
 
@@ -607,7 +621,7 @@ fn handle_request(
             drop(inflight);
             shared.service.clients().record_rejected(client);
             reject(rejection);
-            return None;
+            return;
         }
         *count += 1;
         QuotaSlot {
@@ -616,100 +630,53 @@ fn handle_request(
         }
     };
 
-    // The streaming observer: encode and enqueue each accepted pattern the
-    // moment the engine (or a cache replay) delivers it, and log its
-    // fingerprint so the Done frame can map outcome order onto the stream.
-    let stream_log: Arc<Mutex<Vec<(u64, usize)>>> = Arc::new(Mutex::new(Vec::new()));
+    // The streaming observer: encode (once) and enqueue each pattern the
+    // moment the engine (or a cache replay) delivers it.
     let observer = {
         let frames_tx = frames_tx.clone();
-        let stream_log = stream_log.clone();
         let service = shared.service.clone();
         let client = client.to_owned();
+        let next_seq = AtomicU64::new(0);
         move |pattern: &spidermine_engine::StreamedPattern| {
             let bytes = encode_pattern(pattern);
-            let seq = {
-                let mut log = stream_log.lock().expect("stream log lock");
-                log.push((fnv_of(&bytes), bytes.len()));
-                (log.len() - 1) as u64
-            };
             service
                 .clients()
                 .record_streamed(&client, 1, bytes.len() as u64);
             let _ = frames_tx.send(encode_frame(&Frame::Pattern {
                 id,
-                seq,
+                seq: next_seq.fetch_add(1, Ordering::Relaxed),
                 pattern: bytes,
             }));
         }
     };
 
-    let options = SubmitOptions {
-        observer: Some(Arc::new(observer)),
-        client: Some(client.to_owned()),
-        // Adopt the client-minted trace id so the server-side span tree of
-        // this job lines up with the client's events; 0 means "untraced
-        // client", and the scheduler mints its own id.
-        trace: (trace != 0).then_some(trace),
-        ..SubmitOptions::default()
-    };
-    let handle = match shared.service.submit_with_options(graph, request, options) {
-        Ok(handle) => handle,
-        Err(error) => {
-            // The scheduler already recorded the per-client rejection.
-            reject(map_service_error(&error));
-            drop(quota);
-            return None;
-        }
-    };
-
-    live.lock().expect("live lock").insert(
-        id,
-        LiveRequest {
-            handle: handle.clone(),
-        },
-    );
-    send(&Frame::Accepted {
-        id,
-        job: handle.id(),
-    });
-
-    // Completion waiter: one small blocking thread per in-flight request
-    // (bounded by the quota), so the reader thread never blocks on a job.
-    let waiter_tx = frames_tx.clone();
-    let waiter_live = live.clone();
-    let waiter = std::thread::Builder::new()
-        .name(format!("mine-wait-{id}"))
-        .spawn(move || {
-            let _quota = quota;
-            let result = handle.wait();
-            let frame = match result {
+    // The completion callback: runs once, on the thread that settles the
+    // job, after the observer's last pattern — so `Done` lands behind every
+    // `Pattern` frame of the job. It also retires the live entry and, by
+    // dropping `quota`, the request's in-flight slot.
+    let on_complete = {
+        let frames_tx = frames_tx.clone();
+        let live = live.clone();
+        move |handle: &JobHandle| {
+            let frame = match handle.wait() {
                 Ok(outcome) => {
-                    let log = stream_log.lock().expect("stream log lock");
-                    let mut used = vec![false; log.len()];
-                    let order = outcome
-                        .patterns
-                        .iter()
-                        .map(|pattern| {
-                            let bytes = encode_pattern(pattern);
-                            let key = (fnv_of(&bytes), bytes.len());
-                            // First-unused matching keeps duplicate patterns
-                            // (same bytes streamed twice) unambiguous.
-                            match log
-                                .iter()
-                                .enumerate()
-                                .find(|(i, entry)| !used[*i] && **entry == key)
-                            {
-                                Some((i, _)) => {
-                                    used[i] = true;
-                                    PatternRef::Streamed(i as u64)
-                                }
-                                None => PatternRef::Inline(bytes),
-                            }
-                        })
-                        .collect();
+                    let from_cache = handle.metrics().is_some_and(|m| m.from_cache);
+                    // A replay streams in outcome order; a mined run says
+                    // where its stream put each pattern, if not there.
+                    let order = if from_cache || outcome.stream_order.is_empty() {
+                        (0..outcome.patterns.len() as u64)
+                            .map(PatternRef::Streamed)
+                            .collect()
+                    } else {
+                        outcome
+                            .stream_order
+                            .iter()
+                            .map(|&seq| PatternRef::Streamed(seq as u64))
+                            .collect()
+                    };
                     Frame::Done {
                         id,
-                        from_cache: handle.metrics().is_some_and(|m| m.from_cache),
+                        from_cache,
                         meta: encode_outcome_meta(&outcome),
                         order,
                         trace: handle.trace(),
@@ -720,9 +687,45 @@ fn handle_request(
                     message: error.to_string(),
                 },
             };
-            let _ = waiter_tx.send(encode_frame(&frame));
-            waiter_live.lock().expect("live lock").remove(&id);
-        })
-        .expect("spawn waiter thread");
-    Some(waiter)
+            let _ = frames_tx.send(encode_frame(&frame));
+            live.lock().expect("live lock").remove(&id);
+            drop(quota);
+        }
+    };
+
+    // Register before submitting: a cache hit can settle (and its callback
+    // remove the entry) before `submit_with_options` even returns. Whoever
+    // comes second sees the other's work: the handle is stored only if the
+    // entry is still there, so a settled request never leaves a stale one.
+    live.lock()
+        .expect("live lock")
+        .insert(id, LiveRequest { handle: None });
+    let options = SubmitOptions {
+        observer: Some(Arc::new(observer)),
+        on_complete: Some(Box::new(on_complete)),
+        client: Some(client.to_owned()),
+        // Adopt the client-minted trace id so the server-side span tree of
+        // this job lines up with the client's events; 0 means "untraced
+        // client", and the scheduler mints its own id.
+        trace: (trace != 0).then_some(trace),
+        ..SubmitOptions::default()
+    };
+    match shared.service.submit_with_options(graph, request, options) {
+        Ok(handle) => {
+            if let Some(entry) = live.lock().expect("live lock").get_mut(&id) {
+                entry.handle = Some(handle.clone());
+            }
+            send(&Frame::Accepted {
+                id,
+                job: handle.id(),
+            });
+        }
+        Err(error) => {
+            // The rejected job's callback was dropped unfired, releasing the
+            // quota slot it held. The scheduler already recorded the
+            // per-client rejection.
+            live.lock().expect("live lock").remove(&id);
+            reject(map_service_error(&error));
+        }
+    }
 }

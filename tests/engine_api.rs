@@ -12,13 +12,20 @@ use rand_chacha::ChaCha8Rng;
 use spidermine::{SpiderMineConfig, SpiderMiner, TransactionMiner};
 use spidermine_baselines::{moss, origami, seus, subdue};
 use spidermine_baselines::{MossConfig, OrigamiConfig, SeusConfig, SubdueConfig};
+use spidermine_engine::wire::encode_pattern;
 use spidermine_engine::{
-    Algorithm, CancelToken, GraphSource, MemoOracle, MineContext, MineError, MineRequest, Miner,
-    MossEngine, OrigamiEngine, OwnedGraphSource, PatternStream, ProgressEvent, SeusEngine,
-    SpiderMineEngine, SubdueEngine, SupportMeasure, SupportOracle, TransactionEngine,
+    Algorithm, CancelToken, GraphSource, MemoOracle, MineContext, MineError, MineOutcome,
+    MineRequest, Miner, MossEngine, OrigamiEngine, OwnedGraphSource, PatternStream, ProgressEvent,
+    SeusEngine, SpiderMineEngine, SubdueEngine, SupportMeasure, SupportOracle, TransactionEngine,
 };
 use spidermine_graph::{generate, GraphDatabase, LabeledGraph};
-use std::sync::Arc;
+use std::cmp::Reverse;
+use std::sync::{Arc, Mutex};
+
+/// SpiderMine seed on `planted_graph(11)` whose ranked result differs from
+/// its acceptance order (see
+/// `spidermine_stream_order_maps_its_acceptance_stream_onto_the_ranked_list`).
+const RERANKED_SEED: u64 = 17;
 
 fn planted_graph(seed: u64) -> LabeledGraph {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -215,6 +222,112 @@ fn invalid_requests_name_the_offending_field() {
             other => panic!("expected InvalidConfig({field}), got {other:?}"),
         }
     }
+}
+
+/// Mines `source` with a streaming sink installed; returns the streamed
+/// patterns' encodings and the outcome.
+fn mine_streaming(engine: &impl Miner, source: &GraphSource<'_>) -> (Vec<Vec<u8>>, MineOutcome) {
+    let streamed: Arc<Mutex<Vec<Vec<u8>>>> = Arc::default();
+    let sink = streamed.clone();
+    let mut ctx =
+        MineContext::new().on_pattern(move |p| sink.lock().unwrap().push(encode_pattern(&p)));
+    let outcome = engine.mine(source, &mut ctx).expect("mine");
+    let streamed = std::mem::take(&mut *streamed.lock().unwrap());
+    (streamed, outcome)
+}
+
+/// The outcome's patterns in the order the run streamed them, per
+/// `MineOutcome::stream_order` (empty = outcome order). Panics unless that
+/// order is a permutation of the outcome.
+fn in_stream_order(outcome: &MineOutcome) -> Vec<Vec<u8>> {
+    let returned: Vec<Vec<u8>> = outcome.patterns.iter().map(encode_pattern).collect();
+    if outcome.stream_order.is_empty() {
+        return returned;
+    }
+    let mut by_seq: Vec<Option<Vec<u8>>> = vec![None; returned.len()];
+    for (bytes, &seq) in returned.into_iter().zip(&outcome.stream_order) {
+        assert!(by_seq[seq].replace(bytes).is_none(), "seq {seq} used twice");
+    }
+    by_seq
+        .into_iter()
+        .map(|b| b.expect("stream_order is a permutation"))
+        .collect()
+}
+
+/// The observer contract the transport's `Done` order table relies on:
+/// every miner streams exactly its outcome's patterns, once each, in the
+/// order its `stream_order` states (outcome order when empty).
+#[test]
+fn every_algorithm_streams_its_outcome_in_the_stated_order() {
+    let host = planted_graph(53);
+    let db = planted_db(53);
+    for algo in Algorithm::all() {
+        let engine = MineRequest::new(algo)
+            .support_threshold(2)
+            .k(5)
+            .d_max(6)
+            .seed(5)
+            .build()
+            .expect("valid request");
+        let source = if algo.wants_transactions() {
+            GraphSource::Transactions(&db)
+        } else {
+            GraphSource::Single(&host)
+        };
+        let (streamed, outcome) = mine_streaming(&engine, &source);
+        assert!(
+            !outcome.patterns.is_empty(),
+            "{algo} returned nothing to compare"
+        );
+        assert_eq!(streamed, in_stream_order(&outcome), "{algo}");
+        if algo != Algorithm::SpiderMine {
+            assert!(
+                outcome.stream_order.is_empty(),
+                "{algo} streams in outcome order"
+            );
+        }
+    }
+}
+
+/// SpiderMine streams each pattern as its select stage accepts it and ranks
+/// the list afterwards, so stream and outcome can disagree on order; its
+/// `stream_order` must say exactly how. With closure refinement off an
+/// accepted pattern is its pool entry unchanged, and the select stage
+/// accepts pool entries in descending (edges, embedding count) order, so
+/// the stream is sorted by that key. On this host the ranked outcome is
+/// not: the permutation is not the identity, and the check is not vacuous.
+#[test]
+fn spidermine_stream_order_maps_its_acceptance_stream_onto_the_ranked_list() {
+    let acceptance_key = |p: &spidermine_engine::StreamedPattern| {
+        Reverse((p.pattern.edge_count(), p.embeddings.len()))
+    };
+    let host = planted_graph(11);
+    let engine = SpiderMineEngine::new(SpiderMineConfig {
+        closure_refinement: false,
+        k: 10,
+        ..spidermine_config(RERANKED_SEED)
+    })
+    .expect("valid config");
+    let (streamed, outcome) = mine_streaming(&engine, &GraphSource::Single(&host));
+    assert!(
+        !outcome
+            .patterns
+            .windows(2)
+            .all(|w| acceptance_key(&w[0]) <= acceptance_key(&w[1])),
+        "ranking kept the acceptance order: the check below would be vacuous"
+    );
+    assert!(outcome
+        .stream_order
+        .iter()
+        .enumerate()
+        .any(|(i, &seq)| i != seq));
+    assert_eq!(streamed, in_stream_order(&outcome));
+    // The record describes the run, not the sink: a sink-less run of the
+    // same request reports the same order.
+    let quiet = engine
+        .mine(&GraphSource::Single(&host), &mut MineContext::new())
+        .expect("single graph accepted");
+    assert_eq!(quiet.stream_order, outcome.stream_order);
 }
 
 /// ISSUE-4: the work-stealing runtime's reductions are order-preserving, so
