@@ -17,7 +17,6 @@ use spidermine_graph::graph::LabeledGraph;
 use spidermine_graph::label::Label;
 use spidermine_graph::transaction::GraphDatabase;
 use spidermine_mining::context::{MineContext, StreamedPattern};
-use spidermine_mining::eval::PatternMemo;
 use spidermine_mining::pattern_index::PatternIndex;
 use std::time::{Duration, Instant};
 
@@ -113,20 +112,41 @@ fn similarity(a: &LabeledGraph, b: &LabeledGraph) -> f64 {
     }
 }
 
+/// Transaction support memoized per isomorphism class: transaction support
+/// is a pure function of the class, so the memo is exact, and the walks
+/// re-propose the same children constantly (that absorption into common
+/// small maximal patterns is the algorithm's documented weakness; no reason
+/// to pay for it twice). `supports[id]` is the support of the class
+/// `classes` calls `id`.
+#[derive(Default)]
+struct SupportMemo {
+    classes: PatternIndex,
+    supports: Vec<usize>,
+}
+
+impl SupportMemo {
+    fn support(&mut self, db: &GraphDatabase, pattern: &LabeledGraph) -> usize {
+        if let Some(id) = self.classes.find(pattern) {
+            return self.supports[id];
+        }
+        let support = db.support(pattern);
+        self.classes.insert(pattern.clone());
+        self.supports.push(support);
+        support
+    }
+}
+
 /// One random walk to a maximal frequent pattern: start from a random frequent
 /// edge and keep applying random frequent one-edge extensions until none exist.
 ///
-/// `support_memo` memoizes `db.support` per canonical pattern across *all*
-/// walks of a run — transaction support is a pure function of the isomorphism
-/// class, so the memo is exact, and the walks re-propose the same children
-/// constantly (that absorption into common small maximal patterns is the
-/// algorithm's documented weakness; no reason to pay for it twice).
+/// `memo` memoizes `db.support` per canonical pattern across *all* walks of a
+/// run (see [`SupportMemo`]).
 fn random_maximal_walk(
     db: &GraphDatabase,
     config: &OrigamiConfig,
     rng: &mut ChaCha8Rng,
     deadline: Instant,
-    support_memo: &mut PatternMemo,
+    memo: &mut SupportMemo,
 ) -> Option<OrigamiPattern> {
     // Frequent single edges by transaction support.
     let mut edge_kinds: FxHashMap<(Label, Label), usize> = FxHashMap::default();
@@ -149,7 +169,7 @@ fn random_maximal_walk(
     frequent_edges.sort_unstable();
     let &(la, lb) = frequent_edges.choose(rng)?;
     let mut pattern = LabeledGraph::from_parts(&[la, lb], &[(0, 1)]);
-    let mut support = support_memo.get_or_insert_with(&pattern, || db.support(&pattern));
+    let mut support = memo.support(db, &pattern);
     if support < config.support_threshold {
         return None;
     }
@@ -193,7 +213,7 @@ fn random_maximal_walk(
             if Instant::now() > deadline {
                 break;
             }
-            let s = support_memo.get_or_insert_with(&child, || db.support(&child));
+            let s = memo.support(db, &child);
             if s >= config.support_threshold {
                 pattern = child;
                 support = s;
@@ -234,12 +254,12 @@ pub fn run_with(
     }
     let mut maximal: Vec<OrigamiPattern> = Vec::new();
     let mut index = PatternIndex::new();
-    let mut support_memo = PatternMemo::new();
+    let mut memo = SupportMemo::default();
     for _ in 0..config.samples {
         if ctx.is_cancelled() || Instant::now() > deadline {
             break;
         }
-        if let Some(p) = random_maximal_walk(db, config, &mut rng, deadline, &mut support_memo) {
+        if let Some(p) = random_maximal_walk(db, config, &mut rng, deadline, &mut memo) {
             let (_, fresh) = index.insert(p.pattern.clone());
             if fresh {
                 maximal.push(p);

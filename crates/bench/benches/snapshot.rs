@@ -1,24 +1,25 @@
-//! Snapshot format v2 benchmarks (ISSUE 8): what a service restart actually
-//! costs. Results land in the JSON summary selected by `$BENCH_JSON`
-//! (`BENCH_snapshot.json` in CI) as:
+//! Snapshot benchmarks: what a service restart actually costs. Results land
+//! in the JSON summary selected by `$BENCH_JSON` (`BENCH_snapshot.json` in
+//! CI) as:
 //!
-//! * `snapshot/v1_eager_open/<n>` vs `snapshot/v2_mmap_open/<n>` — the
-//!   catalog's open path before and after: v1 decodes and validates the whole
-//!   payload into owned arrays; v2 registers the file header-only (probe +
-//!   deferred mapping), so opening is O(header) regardless of graph size. The
-//!   derived `snapshot/open_speedup_<n>` is the acceptance bar (≥ 5×).
-//! * `snapshot/probe/<n>` — [`io::probe_snapshot`] alone, with the derived
-//!   `snapshot/probe_speedup_<n>` against the v1 full load (bar: ≥ 50×).
+//! * `snapshot/v2_mmap_open/<n>` — the catalog's open path: the file is
+//!   registered header-only (probe + deferred mapping), so opening is
+//!   O(header) regardless of graph size.
+//! * `snapshot/probe/<n>` — [`io::probe_snapshot`] alone.
 //! * `snapshot/v2_mapped_load/<n>`, `snapshot/v2_buffered_load/<n>` — full
-//!   materialization through the v2 paths (checksums, structure, fingerprint
-//!   — everything except the lazily decoded label index), for an honest
-//!   comparison of total work, not just deferral.
-//! * `snapshot/first_mine/<path>` — open + first mine end to end: deferral
+//!   materialization (checksums, structure, fingerprint — everything except
+//!   the lazily decoded label index), for an honest account of total work,
+//!   not just deferral.
+//! * `snapshot/first_mine/v2_mmap` — open + first mine end to end: deferral
 //!   must not smuggle the cost past the first job.
-//! * `snapshot/rss_delta_kb/*` — resident-set growth (`/proc/self/statm`)
-//!   after populating a catalog with 1 / 4 / 16 graphs, v1 eager loads vs a
-//!   v2 manifest restore: the restore is header-only, so its footprint stays
-//!   flat no matter how many graphs the manifest lists.
+//! * `snapshot/rss_delta_kb/v2_restore/<k>` — resident-set growth
+//!   (`/proc/self/statm`) after a manifest restore of 1 / 4 / 16 graphs: the
+//!   restore is header-only, so its footprint stays flat no matter how many
+//!   graphs the manifest lists.
+//!
+//! The `v2` in the keys names the snapshot format version these rows have
+//! measured since they were introduced; it is kept so the rows stay
+//! comparable across runs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use spidermine_bench::bench_ba_graph;
@@ -52,13 +53,11 @@ fn temp_dir() -> PathBuf {
     dir
 }
 
-/// Saves `graph` in both formats, returning the (v1, v2) paths.
-fn save_both(dir: &Path, tag: &str, graph: &LabeledGraph) -> (PathBuf, PathBuf) {
-    let v1 = dir.join(format!("{tag}.snap1"));
-    let v2 = dir.join(format!("{tag}.snap2"));
-    io::save_snapshot(&v1, graph).expect("save v1");
-    io::save_snapshot_v2(&v2, graph).expect("save v2");
-    (v1, v2)
+/// Saves `graph` as `<tag>.snap` in `dir`, returning the path.
+fn save(dir: &Path, tag: &str, graph: &LabeledGraph) -> PathBuf {
+    let path = dir.join(format!("{tag}.snap"));
+    io::save_snapshot(&path, graph).expect("save");
+    path
 }
 
 /// Resident set size in kilobytes, from `/proc/self/statm` (field 2 is
@@ -97,21 +96,13 @@ fn snapshot(c: &mut Criterion) {
     let dir = temp_dir();
     let mut group = c.benchmark_group("snapshot");
 
-    // --- Open latency: v1 eager vs v2 header-only -------------------------
+    // --- Open latency: header-only registration ---------------------------
     let (big, _) = synthetic::scalability_graph(OPEN_VERTICES, SEED);
     big.csr();
-    let (v1_big, v2_big) = save_both(&dir, "big", &big);
+    let big_path = save(&dir, "big", &big);
     let n = OPEN_VERTICES;
-    group.sample_size(10);
-    group.bench_with_input(BenchmarkId::new("v1_eager_open", n), &v1_big, |b, path| {
-        b.iter(|| {
-            let g = io::load_snapshot(path).expect("v1 load");
-            g.csr();
-            g.vertex_count()
-        })
-    });
     group.sample_size(100);
-    group.bench_with_input(BenchmarkId::new("v2_mmap_open", n), &v2_big, |b, path| {
+    group.bench_with_input(BenchmarkId::new("v2_mmap_open", n), &big_path, |b, path| {
         // What the catalog does at registration/restore time: O(header).
         let catalog = GraphCatalog::new();
         b.iter(|| {
@@ -121,19 +112,19 @@ fn snapshot(c: &mut Criterion) {
                 .fingerprint()
         })
     });
-    group.bench_with_input(BenchmarkId::new("probe", n), &v2_big, |b, path| {
+    group.bench_with_input(BenchmarkId::new("probe", n), &big_path, |b, path| {
         b.iter(|| io::probe_snapshot(path).expect("probe").fingerprint)
     });
 
-    // --- Full materialization through the v2 paths ------------------------
+    // --- Full materialization ----------------------------------------------
     group.sample_size(10);
     for (name, mode) in [
         ("v2_mapped_load", LoadMode::Mapped),
         ("v2_buffered_load", LoadMode::Buffered),
     ] {
-        group.bench_with_input(BenchmarkId::new(name, n), &v2_big, |b, path| {
+        group.bench_with_input(BenchmarkId::new(name, n), &big_path, |b, path| {
             b.iter(|| {
-                let g = io::load_snapshot_v2(path, mode).expect("v2 load");
+                let g = io::load_snapshot(path, mode).expect("load");
                 g.csr();
                 g.vertex_count()
             })
@@ -142,51 +133,28 @@ fn snapshot(c: &mut Criterion) {
 
     // --- First-mine latency: open + mine, end to end ----------------------
     let (mine_graph, _) = bench_ba_graph(MINE_VERTICES);
-    let (v1_mine, v2_mine) = save_both(&dir, "mine", &mine_graph);
+    let mine_path = save(&dir, "mine", &mine_graph);
     group.sample_size(10);
-    for (name, path, lazy) in [
-        ("first_mine/v1_eager", &v1_mine, false),
-        ("first_mine/v2_mmap", &v2_mine, true),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let service = MiningService::new(ServiceConfig {
-                    dispatchers: 1,
-                    ..ServiceConfig::default()
-                });
-                if lazy {
-                    service
-                        .catalog()
-                        .register_snapshot_file("g", path, LoadMode::Mapped)
-                        .expect("register");
-                } else {
-                    service.catalog().load("g", path).expect("load");
-                }
-                service
-                    .submit("g", mine_request())
-                    .expect("submit")
-                    .wait()
-                    .expect("mine")
-                    .patterns
-                    .len()
-            })
-        });
-    }
+    group.bench_function("first_mine/v2_mmap", |b| {
+        b.iter(|| {
+            let service = MiningService::new(ServiceConfig {
+                dispatchers: 1,
+                ..ServiceConfig::default()
+            });
+            service
+                .catalog()
+                .register_snapshot_file("g", &mine_path, LoadMode::Mapped)
+                .expect("register");
+            service
+                .submit("g", mine_request())
+                .expect("submit")
+                .wait()
+                .expect("mine")
+                .patterns
+                .len()
+        })
+    });
     group.finish();
-
-    // --- Derived ratios ----------------------------------------------------
-    if let (Some(v1), Some(v2)) = (
-        criterion::measurement(&format!("snapshot/v1_eager_open/{n}")),
-        criterion::measurement(&format!("snapshot/v2_mmap_open/{n}")),
-    ) {
-        criterion::record_metric(&format!("snapshot/open_speedup_{n}"), v1 / v2);
-    }
-    if let (Some(v1), Some(probe)) = (
-        criterion::measurement(&format!("snapshot/v1_eager_open/{n}")),
-        criterion::measurement(&format!("snapshot/probe/{n}")),
-    ) {
-        criterion::record_metric(&format!("snapshot/probe_speedup_{n}"), v1 / probe);
-    }
 
     // --- RSS at 1 / 4 / 16 catalog graphs ---------------------------------
     // Not a timed bench: one shot per configuration, recorded as metrics.
@@ -195,28 +163,15 @@ fn snapshot(c: &mut Criterion) {
         for i in 0..*CATALOG_SIZES.iter().max().expect("non-empty") {
             let (g, _) = synthetic::scalability_graph(RSS_VERTICES, SEED + i as u64);
             g.csr();
-            snaps.push(save_both(&dir, &format!("rss{i}"), &g));
+            snaps.push(save(&dir, &format!("rss{i}"), &g));
         }
         for &k in &CATALOG_SIZES {
-            let catalog = GraphCatalog::new();
-            trim_heap();
-            let before = resident_kb().expect("statm");
-            for (i, (v1, _)) in snaps.iter().take(k).enumerate() {
-                catalog.load(format!("g{i}"), v1).expect("v1 load");
-            }
-            let after = resident_kb().expect("statm");
-            criterion::record_metric(
-                &format!("snapshot/rss_delta_kb/v1_eager/{k}"),
-                after.saturating_sub(before) as f64,
-            );
-            drop(catalog);
-
-            // A manifest restore of the same k graphs, header-only.
+            // A manifest restore of k graphs, header-only.
             let restore_dir = dir.join(format!("catalog-{k}"));
             let persisted = GraphCatalog::new();
-            for (i, (_, v2)) in snaps.iter().take(k).enumerate() {
+            for (i, path) in snaps.iter().take(k).enumerate() {
                 persisted
-                    .register_snapshot_file(format!("g{i}"), v2, LoadMode::Mapped)
+                    .register_snapshot_file(format!("g{i}"), path, LoadMode::Mapped)
                     .expect("register");
             }
             // ensure_loaded materializes before persist; drop it afterwards

@@ -71,7 +71,7 @@ impl GidConfig {
 
     /// The Table 3 configuration for `gid` ∈ 6..=10, optionally scaled down by
     /// `scale` (1.0 = the paper's sizes; the experiment harness uses smaller
-    /// scales to keep laptop runtimes reasonable — see EXPERIMENTS.md).
+    /// scales to keep laptop runtimes reasonable).
     pub fn table3(gid: u32, scale: f64) -> Self {
         assert!(scale > 0.0 && scale <= 1.0);
         let (vertices, labels, small_support) = match gid {

@@ -67,11 +67,8 @@ pub use spidermine_mining::context::{
     CancelToken, MineContext, ProgressEvent, StageTiming, StreamedPattern,
 };
 
-// The evaluation layer (embedding arena + support oracle) also lives in
-// `spidermine-mining`; re-exported so engine callers can install a shared
-// oracle via `MineContext::with_support_oracle` or pick a `--support-measure`
-// without depending on the mining crate directly.
-pub use spidermine_mining::eval::{
-    DirectOracle, EmbeddingSetId, EmbeddingStore, MemoOracle, OracleStats, SupportOracle,
-};
+// The evaluation layer (embedding arena) also lives in `spidermine-mining`;
+// re-exported, with the support measures, so engine callers can pick a
+// `--support-measure` without depending on the mining crate directly.
+pub use spidermine_mining::eval::{EmbeddingSetId, EmbeddingStore};
 pub use spidermine_mining::support::SupportMeasure;

@@ -22,7 +22,7 @@ fn main() {
         k: 20,
         d_max: 8,
         // Four labels make embedding lists enormous; cap the per-spider leaf
-        // count to keep Stage I tractable (see EXPERIMENTS.md).
+        // count to keep Stage I tractable.
         max_spider_leaves: 5,
         rng_seed: EXPERIMENT_SEED,
         ..SpiderMineConfig::default()

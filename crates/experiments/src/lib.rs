@@ -7,7 +7,7 @@
 //! * deterministic seeds, so two runs print the same rows;
 //! * a `--full` flag to run at the paper's original sizes — the default is a
 //!   scaled-down configuration that finishes in seconds to a few minutes on a
-//!   laptop (EXPERIMENTS.md records which scale produced the reported rows);
+//!   laptop;
 //! * plain text rows on stdout shaped like the paper's tables/series.
 
 use std::collections::BTreeMap;

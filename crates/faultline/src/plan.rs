@@ -24,7 +24,7 @@ use std::fmt;
 pub enum FaultSite {
     /// Snapshot header probe (`graph::io::probe_snapshot`).
     DiskProbe,
-    /// Snapshot open/read (`graph::io::open_snapshot` and the v1/v2 loaders).
+    /// Snapshot read (`graph::io::load_snapshot`).
     DiskRead,
     /// Snapshot persistence (`graph::io::atomic_write`).
     DiskWrite,

@@ -17,7 +17,7 @@
 //!   pruning.
 //!
 //! The core arrays are held as [`ArcSlice`]s, so an index built from a
-//! memory-mapped snapshot (format v2, see `io`) points straight into the
+//! memory-mapped snapshot (see `io`) points straight into the
 //! mapped file — freezing a loaded graph copies nothing. The label index and
 //! the histograms are derived structures and are built lazily on first use:
 //! a snapshot-backed graph that only ever runs a histogram-free algorithm
@@ -25,7 +25,7 @@
 //!
 //! The index is built lazily by [`LabeledGraph::csr`] and cached; any mutation
 //! of the graph invalidates the cache. See `DESIGN.md` § "CSR graph core" and
-//! § "Snapshot format v2".
+//! § "Snapshot format".
 
 use crate::graph::{LabeledGraph, VertexId};
 use crate::iso::SearchPlan;
@@ -67,7 +67,7 @@ pub(crate) enum LabelIndex {
     },
 }
 
-/// The raw label-index section of a format-v2 snapshot, deferred for lazy
+/// The raw label-index section of a snapshot, deferred for lazy
 /// decoding.
 ///
 /// Holding this instead of a decoded index is what makes snapshot loading
@@ -199,7 +199,7 @@ pub struct CsrIndex {
     offsets: ArcSlice<u32>,
     /// Concatenated sorted adjacency lists.
     neighbors: ArcSlice<VertexId>,
-    /// Undecoded label-index section from a v2 snapshot, if this index was
+    /// Undecoded label-index section from a snapshot, if this index was
     /// loaded from one; decoded (checksummed + validated) on first use.
     packed: Option<PackedLabelIndex>,
     /// Vertices grouped by label; built (or decoded from `packed`) on first
@@ -262,7 +262,7 @@ impl CsrIndex {
     /// labels section (which was validated at load time), so the index is
     /// rebuilt from the labels instead. Eager loads surface the same
     /// corruption as a typed error by calling [`PackedLabelIndex::decode`]
-    /// directly — see `io::graph_from_snapshot_v2`.
+    /// directly — see `io::graph_from_snapshot`.
     fn label_index(&self) -> &LabelIndex {
         self.label_index.get_or_init(|| {
             if let Some(packed) = &self.packed {

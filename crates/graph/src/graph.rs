@@ -380,36 +380,19 @@ impl LabeledGraph {
         }
     }
 
-    /// Builds a graph directly from flat CSR arrays: per-vertex labels, row
-    /// offsets (length `labels.len() + 1`), and concatenated sorted neighbor
-    /// rows.
-    ///
-    /// This is the fast path behind snapshot loading (`io::load_snapshot`):
-    /// it slices each adjacency row straight out of `neighbors` instead of
-    /// inserting edges one by one. The caller must pass well-formed data —
-    /// monotone offsets, each row strictly ascending with no self-loops, and
-    /// symmetric adjacency (`v ∈ row(u) ⇔ u ∈ row(v)`); `io` validates all of
-    /// that before calling here. Violations are caught by `debug_assert` only.
-    pub fn from_csr_parts(labels: Vec<Label>, offsets: &[u32], neighbors: &[VertexId]) -> Self {
-        Self::from_shared_parts(
-            ArcSlice::from_vec(labels),
-            ArcSlice::from_vec(offsets.to_vec()),
-            ArcSlice::from_vec(neighbors.to_vec()),
-            None,
-        )
-    }
-
     /// Builds a frozen graph over shared flat CSR arrays without copying them.
     ///
     /// This is the zero-copy endpoint of snapshot loading: the slices can
     /// point straight into a memory mapping, and the graph's [`CsrIndex`] is
     /// pre-seeded over the *same* slices, so a later [`LabeledGraph::csr`]
     /// call returns it without building (or allocating) anything. `packed`
-    /// optionally carries a v2 snapshot's undecoded label-index section for
+    /// optionally carries a snapshot's undecoded label-index section for
     /// lazy decoding.
     ///
-    /// The same well-formedness contract as [`LabeledGraph::from_csr_parts`]
-    /// applies; `io` validates before calling here.
+    /// The caller must pass well-formed data — monotone offsets, each row
+    /// strictly ascending with no self-loops, and symmetric adjacency
+    /// (`v ∈ row(u) ⇔ u ∈ row(v)`); `io` validates all of that before calling
+    /// here. Violations are caught by `debug_assert` only.
     pub fn from_shared_parts(
         labels: ArcSlice<Label>,
         offsets: ArcSlice<u32>,

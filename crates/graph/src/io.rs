@@ -15,43 +15,12 @@
 //! This mirrors the de-facto standard format used by gSpan-family tools, which
 //! makes it easy to feed externally generated data into the miners.
 //!
-//! # Binary snapshot format v1 (eager)
+//! # Binary snapshot format (zero-copy, lazy)
 //!
 //! [`snapshot_bytes`] / [`graph_from_snapshot`] (and the file-level
 //! [`save_snapshot`] / [`load_snapshot`]) persist a [`LabeledGraph`] in its
-//! frozen CSR shape, so a service restart reloads flat arrays instead of
-//! replaying edge insertions and re-sorting adjacency. All integers are
-//! little-endian:
-//!
-//! ```text
-//! offset  size  field
-//!      0     8  magic "SPDRSNAP"
-//!      8     4  format version (1)
-//!     12     8  FNV-1a checksum over the payload (everything after byte 28)
-//!     20     8  graph fingerprint (signature::graph_fingerprint)
-//!     28     4  vertex count n                 ┐
-//!             4  edge count e                  │
-//!        n * 4  labels section                 │ payload
-//!    (n+1) * 4  CSR offsets section            │ (checksummed)
-//!       2e * 4  CSR neighbors section          │
-//!     variable  label-index section:           │
-//!               distinct-label count d, then   │
-//!               d × (label, vertex count)      ┘
-//! ```
-//!
-//! The writer is deterministic, so save → load → re-save round-trips
-//! byte-identically; the reader validates magic, version, checksum, full
-//! structural well-formedness (monotone offsets, sorted symmetric rows, no
-//! self-loops, label index consistent with the labels section) and the stored
-//! fingerprint, reporting any violation as a typed [`SnapshotError`] — a
-//! truncated or bit-flipped file never panics.
-//!
-//! # Binary snapshot format v2 (zero-copy, lazy)
-//!
-//! Format v2 ([`snapshot_bytes_v2`] / [`save_snapshot_v2`] /
-//! [`load_snapshot_v2`] / [`open_snapshot`]) keeps the same information
-//! content but re-arranges it for *zero-copy* loading: each section is
-//! page-aligned, independently checksummed via a section table, and laid out
+//! frozen CSR shape, laid out for *zero-copy* loading: each section is
+//! page-aligned, independently checksummed via a section table, and stored
 //! as fixed-width little-endian `u32` arrays, so the on-disk bytes *are* the
 //! in-memory representation. A memory-mapped file (see `mmap-lite`) backs the
 //! graph directly; loading touches only the header until a section is used.
@@ -74,16 +43,23 @@
 //!               4 label-index d, labels[d], starts[d+1], vertices[n] (u32s)
 //! ```
 //!
+//! The writer is deterministic, so save → load → re-save round-trips
+//! byte-identically. Version 1 (a single checksummed payload decoded
+//! eagerly) is no longer read: such files are rejected with
+//! [`SnapshotError::UnsupportedVersion`], like any other unknown version.
+//!
 //! The label-index section is *redundant* (derivable from the labels
 //! section), which is what allows it to be validated lazily: a mapped load
 //! leaves it untouched until a label-index-using algorithm runs, checksums it
 //! at that point, and falls back to rebuilding from the labels section if it
 //! is corrupt. The three core sections are checksummed and structurally
-//! validated at materialization time, and the fingerprint is recomputed from
-//! the decoded graph. [`probe_snapshot`] validates header + section table
-//! only — O(header) no matter how large the graph — and is what the service
-//! catalog uses to register snapshots without loading them.
-//! See `DESIGN.md` § "Snapshot format v2".
+//! validated (monotone offsets, sorted symmetric rows, no self-loops) at
+//! materialization time, and the fingerprint is recomputed from the decoded
+//! graph; any violation is a typed [`SnapshotError`] — a truncated or
+//! bit-flipped file never panics. [`probe_snapshot`] validates header +
+//! section table only — O(header) no matter how large the graph — and is
+//! what the service catalog uses to register snapshots without loading them.
+//! See `DESIGN.md` § "Snapshot format".
 
 use crate::csr::PackedLabelIndex;
 use crate::graph::{LabeledGraph, VertexId};
@@ -221,33 +197,29 @@ fn parse_num(field: Option<&str>, line: &str) -> Result<u32, ParseError> {
 /// Magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"SPDRSNAP";
 
-/// Snapshot format version 1: single checksummed payload, eager decode.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// The snapshot format version this reader and writer understand:
+/// page-aligned sections, zero-copy mmap loading.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
-/// Snapshot format version 2: page-aligned sections, zero-copy mmap loading.
-pub const SNAPSHOT_VERSION_V2: u32 = 2;
-
-/// Header length: magic + version + checksum + fingerprint.
-const SNAPSHOT_HEADER_LEN: usize = 8 + 4 + 8 + 8;
-
-/// Section alignment in a v2 snapshot: one page, so a memory mapping hands
-/// every section out 4-byte (in fact page-) aligned for in-place
-/// reinterpretation as `u32` arrays.
+/// Section alignment: one page, so a memory mapping hands every section out
+/// 4-byte (in fact page-) aligned for in-place reinterpretation as `u32`
+/// arrays.
 pub const SNAPSHOT_PAGE: usize = 4096;
 
-/// Number of sections in a v2 snapshot.
-const V2_SECTION_COUNT: usize = 4;
+/// Number of sections in a snapshot.
+const SECTION_COUNT: usize = 4;
 
-/// Fixed part of the v2 header before the section table.
-const V2_FIXED_LEN: usize = 8 + 4 + 4 + 8 + 4 + 4;
+/// Fixed part of the header before the section table.
+const FIXED_LEN: usize = 8 + 4 + 4 + 8 + 4 + 4;
 
 /// One section-table entry: id + reserved + offset + len + checksum.
-const V2_TABLE_ENTRY_LEN: usize = 4 + 4 + 8 + 8 + 8;
+const TABLE_ENTRY_LEN: usize = 4 + 4 + 8 + 8 + 8;
 
-/// Full v2 header: fixed part, section table, header checksum.
-const V2_HEADER_LEN: usize = V2_FIXED_LEN + V2_SECTION_COUNT * V2_TABLE_ENTRY_LEN + 8;
+/// Full header: fixed part, section table, header checksum. Every byte of it
+/// is covered by the header checksum; the sections start at the next page.
+pub const SNAPSHOT_HEADER_LEN: usize = FIXED_LEN + SECTION_COUNT * TABLE_ENTRY_LEN + 8;
 
-/// Section ids (and table order) in a v2 snapshot.
+/// Section ids (and table order).
 const SECTION_LABELS: u32 = 1;
 const SECTION_OFFSETS: u32 = 2;
 const SECTION_NEIGHBORS: u32 = 3;
@@ -268,13 +240,15 @@ fn section_name(id: u32) -> &'static str {
 ///
 /// Corruption is always reported as a typed error, never a panic: a truncated
 /// file surfaces as [`SnapshotError::Truncated`], a bit flip as
-/// [`SnapshotError::ChecksumMismatch`] (or, for flips that survive the
+/// [`SnapshotError::ChecksumMismatch`] or
+/// [`SnapshotError::SectionChecksumMismatch`] (or, for flips that survive the
 /// checksum probability, as a structural [`SnapshotError::Corrupt`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
     /// The file does not start with [`SNAPSHOT_MAGIC`].
     BadMagic,
-    /// The format version is newer than this reader understands.
+    /// The format version is not [`SNAPSHOT_VERSION`] (an older version-1
+    /// file, or a newer format).
     UnsupportedVersion(u32),
     /// The byte stream ended before the structure it promised.
     Truncated {
@@ -283,14 +257,14 @@ pub enum SnapshotError {
         /// How many were available.
         actual: usize,
     },
-    /// The payload checksum does not match the header.
+    /// The header checksum does not match the header and section table.
     ChecksumMismatch {
         /// Checksum stored in the header.
         stored: u64,
-        /// Checksum computed over the payload.
+        /// Checksum computed over the header and section table.
         computed: u64,
     },
-    /// A v2 section's bytes do not hash to the checksum in the section table.
+    /// A section's bytes do not hash to the checksum in the section table.
     SectionChecksumMismatch {
         /// Which section ("labels", "csr-offsets", "neighbors",
         /// "label-index").
@@ -300,7 +274,7 @@ pub enum SnapshotError {
         /// Checksum computed over the section bytes.
         computed: u64,
     },
-    /// A v2 section-table entry points at an offset that is not page-aligned,
+    /// A section-table entry points at an offset that is not page-aligned,
     /// which would break in-place `u32` reinterpretation of a mapping.
     MisalignedSection {
         /// Which section.
@@ -320,14 +294,14 @@ impl std::fmt::Display for SnapshotError {
         match self {
             SnapshotError::BadMagic => write!(f, "not a graph snapshot (bad magic)"),
             SnapshotError::UnsupportedVersion(v) => {
-                write!(f, "unsupported snapshot version {v} for this reader (formats {SNAPSHOT_VERSION} and {SNAPSHOT_VERSION_V2} exist)")
+                write!(f, "unsupported snapshot version {v} (this reader understands version {SNAPSHOT_VERSION})")
             }
             SnapshotError::Truncated { expected, actual } => {
                 write!(f, "snapshot truncated: needed {expected} bytes, had {actual}")
             }
             SnapshotError::ChecksumMismatch { stored, computed } => write!(
                 f,
-                "snapshot checksum mismatch: header says {stored:#018x}, payload hashes to {computed:#018x}"
+                "snapshot header checksum mismatch: header says {stored:#018x}, header hashes to {computed:#018x}"
             ),
             SnapshotError::SectionChecksumMismatch {
                 section,
@@ -384,159 +358,7 @@ fn apply_injected_read_fault(
     Ok(())
 }
 
-/// Serializes `graph` into the binary snapshot format described in the
-/// module docs. Deterministic: equal graphs produce identical bytes.
-pub fn snapshot_bytes(graph: &LabeledGraph) -> Vec<u8> {
-    let n = graph.vertex_count();
-    let csr = graph.csr();
-    let fingerprint = graph_fingerprint(graph);
-
-    let mut payload: Vec<u8> = Vec::with_capacity(8 + 4 * (2 * n + 1) + 8 * graph.edge_count());
-    push_u32(&mut payload, n as u32);
-    push_u32(&mut payload, graph.edge_count() as u32);
-    // Labels section.
-    for l in graph.labels() {
-        push_u32(&mut payload, l.0);
-    }
-    // Adjacency section: offsets then concatenated sorted rows.
-    let mut offset = 0u32;
-    push_u32(&mut payload, 0);
-    for v in graph.vertices() {
-        offset += csr.neighbors(v).len() as u32;
-        push_u32(&mut payload, offset);
-    }
-    for v in graph.vertices() {
-        for &u in csr.neighbors(v) {
-            push_u32(&mut payload, u.0);
-        }
-    }
-    // Label-index section: distinct labels ascending, each with its vertex
-    // count. Redundant with the labels section, but it lets a future reader
-    // rebuild the per-label vertex lists without a full scan, and it gives
-    // the loader one more integrity cross-check.
-    let classes: Vec<(Label, u32)> = csr
-        .labels_with_vertices()
-        .map(|(l, vs)| (l, vs.len() as u32))
-        .collect();
-    push_u32(&mut payload, classes.len() as u32);
-    for (l, count) in classes {
-        push_u32(&mut payload, l.0);
-        push_u32(&mut payload, count);
-    }
-
-    let mut checksum = StableHasher::new();
-    checksum.write_bytes(&payload);
-
-    let mut out = Vec::with_capacity(SNAPSHOT_HEADER_LEN + payload.len());
-    out.extend_from_slice(&SNAPSHOT_MAGIC);
-    out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    out.extend_from_slice(&checksum.finish().to_le_bytes());
-    out.extend_from_slice(&fingerprint.to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
-}
-
-/// Validates the header of a snapshot byte stream and returns the stored
-/// graph fingerprint without decoding the payload — what a catalog uses to
-/// identify a snapshot file cheaply.
-pub fn snapshot_fingerprint(bytes: &[u8]) -> Result<u64, SnapshotError> {
-    if bytes.len() < SNAPSHOT_HEADER_LEN {
-        return Err(SnapshotError::Truncated {
-            expected: SNAPSHOT_HEADER_LEN,
-            actual: bytes.len(),
-        });
-    }
-    if bytes[..8] != SNAPSHOT_MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if version != SNAPSHOT_VERSION {
-        return Err(SnapshotError::UnsupportedVersion(version));
-    }
-    Ok(u64::from_le_bytes(
-        bytes[20..28].try_into().expect("8 bytes"),
-    ))
-}
-
-/// Decodes a snapshot byte stream back into a [`LabeledGraph`], validating
-/// magic, version, checksum, structural invariants and the stored
-/// fingerprint. The inverse of [`snapshot_bytes`].
-pub fn graph_from_snapshot(bytes: &[u8]) -> Result<LabeledGraph, SnapshotError> {
-    let stored_fingerprint = snapshot_fingerprint(bytes)?;
-    let stored_checksum = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
-    let payload = &bytes[SNAPSHOT_HEADER_LEN..];
-    let mut checksum = StableHasher::new();
-    checksum.write_bytes(payload);
-    let computed = checksum.finish();
-    if computed != stored_checksum {
-        return Err(SnapshotError::ChecksumMismatch {
-            stored: stored_checksum,
-            computed,
-        });
-    }
-
-    let mut r = SnapshotReader::new(payload);
-    let n = r.read_u32()? as usize;
-    let e = r.read_u32()? as usize;
-    let labels: Vec<Label> = r.read_u32_section(n)?.into_iter().map(Label).collect();
-    let offsets = r.read_u32_section(n + 1)?;
-    let neighbors: Vec<VertexId> = r
-        .read_u32_section(2 * e)?
-        .into_iter()
-        .map(VertexId)
-        .collect();
-    validate_csr_structure(n, e, &offsets, &neighbors)?;
-    // Label-index section must agree with the labels section.
-    let distinct = r.read_u32()? as usize;
-    let mut expected: Vec<(u32, u32)> = {
-        let mut sorted: Vec<u32> = labels.iter().map(|l| l.0).collect();
-        sorted.sort_unstable();
-        let mut runs = Vec::new();
-        let mut i = 0;
-        while i < sorted.len() {
-            let mut j = i + 1;
-            while j < sorted.len() && sorted[j] == sorted[i] {
-                j += 1;
-            }
-            runs.push((sorted[i], (j - i) as u32));
-            i = j;
-        }
-        runs
-    };
-    if distinct != expected.len() {
-        return Err(SnapshotError::Corrupt(format!(
-            "label index lists {distinct} classes, labels section has {}",
-            expected.len()
-        )));
-    }
-    expected.reverse(); // pop from the front in order
-    for _ in 0..distinct {
-        let label = r.read_u32()?;
-        let count = r.read_u32()?;
-        if expected.pop() != Some((label, count)) {
-            return Err(SnapshotError::Corrupt(format!(
-                "label index entry ({label}, {count}) disagrees with the labels section"
-            )));
-        }
-    }
-    if !r.at_end() {
-        return Err(SnapshotError::Corrupt(format!(
-            "{} trailing bytes after the label index",
-            r.remaining()
-        )));
-    }
-
-    let graph = LabeledGraph::from_csr_parts(labels, &offsets, &neighbors);
-    if graph_fingerprint(&graph) != stored_fingerprint {
-        return Err(SnapshotError::Corrupt(
-            "stored fingerprint disagrees with the decoded graph".into(),
-        ));
-    }
-    Ok(graph)
-}
-
-/// CSR well-formedness shared by both format readers: monotone offsets that
-/// span exactly `2e` arcs, rows strictly ascending, in range, self-loop-free,
+/// CSR well-formedness: monotone offsets that span exactly `2e` arcs, rows strictly ascending, in range, self-loop-free,
 /// and symmetric.
 fn validate_csr_structure(
     n: usize,
@@ -677,85 +499,12 @@ fn observe_load<T>(f: impl FnOnce() -> Result<T, SnapshotError>) -> Result<T, Sn
     result
 }
 
-/// Writes `graph` to `path` in the v1 binary snapshot format, atomically
-/// (temp file + fsync + rename; see [`atomic_write`]).
-pub fn save_snapshot(path: impl AsRef<Path>, graph: &LabeledGraph) -> Result<(), SnapshotError> {
-    let path = path.as_ref();
-    atomic_write(path, &snapshot_bytes(graph))
-        .map_err(|e| SnapshotError::Io(format!("{}: {e}", path.display())))
-}
-
-/// Reads a v1 binary snapshot file back into a [`LabeledGraph`].
-pub fn load_snapshot(path: impl AsRef<Path>) -> Result<LabeledGraph, SnapshotError> {
-    let path = path.as_ref();
-    observe_load(|| {
-        let mut bytes = std::fs::read(path)
-            .map_err(|e| SnapshotError::Io(format!("{}: {e}", path.display())))?;
-        if let Some(kind) = faultline::check(faultline::FaultSite::DiskRead) {
-            apply_injected_read_fault(&mut bytes, kind, path)?;
-        }
-        graph_from_snapshot(&bytes)
-    })
-}
-
 #[inline]
 fn push_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Bounds-checked little-endian cursor over the snapshot payload.
-struct SnapshotReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> SnapshotReader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, pos: 0 }
-    }
-
-    fn read_u32(&mut self) -> Result<u32, SnapshotError> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(SnapshotError::Truncated {
-                expected: self.pos + 4,
-                actual: self.bytes.len(),
-            });
-        }
-        let v = u32::from_le_bytes(self.bytes[self.pos..self.pos + 4].try_into().expect("4"));
-        self.pos += 4;
-        Ok(v)
-    }
-
-    fn read_u32_section(&mut self, count: usize) -> Result<Vec<u32>, SnapshotError> {
-        let needed = self.pos + 4 * count;
-        if needed > self.bytes.len() {
-            return Err(SnapshotError::Truncated {
-                expected: needed,
-                actual: self.bytes.len(),
-            });
-        }
-        let out = self.bytes[self.pos..needed]
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4")))
-            .collect();
-        self.pos = needed;
-        Ok(out)
-    }
-
-    fn at_end(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Binary snapshot format v2: page-aligned sections, zero-copy loading
-// ---------------------------------------------------------------------------
-
-/// One entry of a v2 snapshot's section table.
+/// One entry of a snapshot's section table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SectionInfo {
     /// Section id (1 = labels, 2 = csr-offsets, 3 = neighbors,
@@ -781,8 +530,6 @@ impl SectionInfo {
 /// data pages.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotInfo {
-    /// Format version (1 or 2).
-    pub version: u32,
     /// The graph's content fingerprint ([`graph_fingerprint`]).
     pub fingerprint: u64,
     /// Number of vertices.
@@ -791,22 +538,23 @@ pub struct SnapshotInfo {
     pub edge_count: u32,
     /// Total file length in bytes.
     pub file_len: u64,
-    /// The validated section table (empty for v1 snapshots, which have no
-    /// section table).
+    /// The validated section table.
     pub sections: Vec<SectionInfo>,
 }
 
 impl SnapshotInfo {
-    /// The table entry for section `id`, if present (v2 only).
+    /// The table entry for section `id`, if present.
     pub fn section(&self, id: u32) -> Option<&SectionInfo> {
         self.sections.iter().find(|s| s.id == id)
     }
 }
 
-/// Parses and validates a snapshot header (both formats) from the file's
-/// first bytes. `prefix` holds at least the first `min(file_len, 168)` bytes;
-/// `file_len` is the total file length, used to bounds-check the section
-/// table without reading the sections.
+/// Parses and validates a snapshot header from the file's first bytes.
+/// `prefix` holds at least the first `min(file_len, 168)` bytes; `file_len`
+/// is the total file length, used to bounds-check the section table without
+/// reading the sections. The version is checked before the length, so a
+/// short file of another version is reported as
+/// [`SnapshotError::UnsupportedVersion`] rather than as truncated.
 fn parse_snapshot_header(prefix: &[u8], file_len: u64) -> Result<SnapshotInfo, SnapshotError> {
     if prefix.len() < 12 {
         return Err(SnapshotError::Truncated {
@@ -818,120 +566,96 @@ fn parse_snapshot_header(prefix: &[u8], file_len: u64) -> Result<SnapshotInfo, S
         return Err(SnapshotError::BadMagic);
     }
     let version = u32::from_le_bytes(prefix[8..12].try_into().expect("4 bytes"));
-    match version {
-        SNAPSHOT_VERSION => {
-            // v1 keeps n and e at the start of the payload, right after the
-            // 28-byte header.
-            let needed = SNAPSHOT_HEADER_LEN + 8;
-            if prefix.len() < needed {
-                return Err(SnapshotError::Truncated {
-                    expected: needed,
-                    actual: prefix.len(),
-                });
-            }
-            Ok(SnapshotInfo {
-                version,
-                fingerprint: u64::from_le_bytes(prefix[20..28].try_into().expect("8 bytes")),
-                vertex_count: u32::from_le_bytes(prefix[28..32].try_into().expect("4 bytes")),
-                edge_count: u32::from_le_bytes(prefix[32..36].try_into().expect("4 bytes")),
-                file_len,
-                sections: Vec::new(),
-            })
-        }
-        SNAPSHOT_VERSION_V2 => {
-            if prefix.len() < V2_HEADER_LEN {
-                return Err(SnapshotError::Truncated {
-                    expected: V2_HEADER_LEN,
-                    actual: prefix.len(),
-                });
-            }
-            let stored = u64::from_le_bytes(
-                prefix[V2_HEADER_LEN - 8..V2_HEADER_LEN]
-                    .try_into()
-                    .expect("8 bytes"),
-            );
-            let mut h = StableHasher::new();
-            h.write_bytes(&prefix[..V2_HEADER_LEN - 8]);
-            let computed = h.finish();
-            if computed != stored {
-                return Err(SnapshotError::ChecksumMismatch { stored, computed });
-            }
-            let section_count = u32::from_le_bytes(prefix[12..16].try_into().expect("4 bytes"));
-            if section_count as usize != V2_SECTION_COUNT {
-                return Err(SnapshotError::Corrupt(format!(
-                    "v2 snapshot lists {section_count} sections, expected {V2_SECTION_COUNT}"
-                )));
-            }
-            let fingerprint = u64::from_le_bytes(prefix[16..24].try_into().expect("8 bytes"));
-            let n = u32::from_le_bytes(prefix[24..28].try_into().expect("4 bytes"));
-            let e = u32::from_le_bytes(prefix[28..32].try_into().expect("4 bytes"));
-
-            let mut sections = Vec::with_capacity(V2_SECTION_COUNT);
-            for i in 0..V2_SECTION_COUNT {
-                let at = V2_FIXED_LEN + i * V2_TABLE_ENTRY_LEN;
-                let entry = &prefix[at..at + V2_TABLE_ENTRY_LEN];
-                let id = u32::from_le_bytes(entry[0..4].try_into().expect("4 bytes"));
-                let offset = u64::from_le_bytes(entry[8..16].try_into().expect("8 bytes"));
-                let len = u64::from_le_bytes(entry[16..24].try_into().expect("8 bytes"));
-                let checksum = u64::from_le_bytes(entry[24..32].try_into().expect("8 bytes"));
-                if id != i as u32 + 1 {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "section table entry {i} has id {id}, expected {}",
-                        i + 1
-                    )));
-                }
-                if offset % SNAPSHOT_PAGE as u64 != 0 {
-                    return Err(SnapshotError::MisalignedSection {
-                        section: section_name(id),
-                        offset,
-                    });
-                }
-                let end = offset
-                    .checked_add(len)
-                    .ok_or_else(|| SnapshotError::Corrupt("section range overflows".into()))?;
-                if end > file_len {
-                    return Err(SnapshotError::Truncated {
-                        expected: end as usize,
-                        actual: file_len as usize,
-                    });
-                }
-                // Fixed-width sections must match the advertised graph shape;
-                // the label-index section's inner layout is validated when it
-                // is decoded.
-                let expected_len: Option<u64> = match id {
-                    SECTION_LABELS => Some(4 * n as u64),
-                    SECTION_OFFSETS => Some(4 * (n as u64 + 1)),
-                    SECTION_NEIGHBORS => Some(8 * e as u64),
-                    _ => (len % 4 == 0).then_some(len),
-                };
-                if expected_len != Some(len) {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "{} section is {len} bytes, expected {expected_len:?} for n={n}, e={e}",
-                        section_name(id)
-                    )));
-                }
-                sections.push(SectionInfo {
-                    id,
-                    offset,
-                    len,
-                    checksum,
-                });
-            }
-            Ok(SnapshotInfo {
-                version,
-                fingerprint,
-                vertex_count: n,
-                edge_count: e,
-                file_len,
-                sections,
-            })
-        }
-        other => Err(SnapshotError::UnsupportedVersion(other)),
+    if version != SNAPSHOT_VERSION {
+        return Err(SnapshotError::UnsupportedVersion(version));
     }
+    if prefix.len() < SNAPSHOT_HEADER_LEN {
+        return Err(SnapshotError::Truncated {
+            expected: SNAPSHOT_HEADER_LEN,
+            actual: prefix.len(),
+        });
+    }
+    let stored = u64::from_le_bytes(
+        prefix[SNAPSHOT_HEADER_LEN - 8..SNAPSHOT_HEADER_LEN]
+            .try_into()
+            .expect("8 bytes"),
+    );
+    let mut h = StableHasher::new();
+    h.write_bytes(&prefix[..SNAPSHOT_HEADER_LEN - 8]);
+    let computed = h.finish();
+    if computed != stored {
+        return Err(SnapshotError::ChecksumMismatch { stored, computed });
+    }
+    let section_count = u32::from_le_bytes(prefix[12..16].try_into().expect("4 bytes"));
+    if section_count as usize != SECTION_COUNT {
+        return Err(SnapshotError::Corrupt(format!(
+            "snapshot lists {section_count} sections, expected {SECTION_COUNT}"
+        )));
+    }
+    let fingerprint = u64::from_le_bytes(prefix[16..24].try_into().expect("8 bytes"));
+    let n = u32::from_le_bytes(prefix[24..28].try_into().expect("4 bytes"));
+    let e = u32::from_le_bytes(prefix[28..32].try_into().expect("4 bytes"));
+
+    let mut sections = Vec::with_capacity(SECTION_COUNT);
+    for i in 0..SECTION_COUNT {
+        let at = FIXED_LEN + i * TABLE_ENTRY_LEN;
+        let entry = &prefix[at..at + TABLE_ENTRY_LEN];
+        let id = u32::from_le_bytes(entry[0..4].try_into().expect("4 bytes"));
+        let offset = u64::from_le_bytes(entry[8..16].try_into().expect("8 bytes"));
+        let len = u64::from_le_bytes(entry[16..24].try_into().expect("8 bytes"));
+        let checksum = u64::from_le_bytes(entry[24..32].try_into().expect("8 bytes"));
+        if id != i as u32 + 1 {
+            return Err(SnapshotError::Corrupt(format!(
+                "section table entry {i} has id {id}, expected {}",
+                i + 1
+            )));
+        }
+        if offset % SNAPSHOT_PAGE as u64 != 0 {
+            return Err(SnapshotError::MisalignedSection {
+                section: section_name(id),
+                offset,
+            });
+        }
+        let end = offset
+            .checked_add(len)
+            .ok_or_else(|| SnapshotError::Corrupt("section range overflows".into()))?;
+        if end > file_len {
+            return Err(SnapshotError::Truncated {
+                expected: end as usize,
+                actual: file_len as usize,
+            });
+        }
+        // Fixed-width sections must match the advertised graph shape; the
+        // label-index section's inner layout is validated when it is decoded.
+        let expected_len: Option<u64> = match id {
+            SECTION_LABELS => Some(4 * n as u64),
+            SECTION_OFFSETS => Some(4 * (n as u64 + 1)),
+            SECTION_NEIGHBORS => Some(8 * e as u64),
+            _ => (len % 4 == 0).then_some(len),
+        };
+        if expected_len != Some(len) {
+            return Err(SnapshotError::Corrupt(format!(
+                "{} section is {len} bytes, expected {expected_len:?} for n={n}, e={e}",
+                section_name(id)
+            )));
+        }
+        sections.push(SectionInfo {
+            id,
+            offset,
+            len,
+            checksum,
+        });
+    }
+    Ok(SnapshotInfo {
+        fingerprint,
+        vertex_count: n,
+        edge_count: e,
+        file_len,
+        sections,
+    })
 }
 
-/// Validates a snapshot file's header (and, for v2, its section table)
-/// without reading any data pages: O(header) regardless of graph size.
+/// Validates a snapshot file's header and section table without reading any data pages: O(header) regardless of graph size.
 ///
 /// This is how the service catalog registers snapshots — identity comes from
 /// the stored fingerprint, integrity of the data sections is deferred to
@@ -949,7 +673,7 @@ pub fn probe_snapshot(path: impl AsRef<Path>) -> Result<SnapshotInfo, SnapshotEr
     }
     let mut file = std::fs::File::open(path).map_err(io_err)?;
     let file_len = file.metadata().map_err(io_err)?.len();
-    let mut prefix = [0u8; V2_HEADER_LEN];
+    let mut prefix = [0u8; SNAPSHOT_HEADER_LEN];
     let mut read = 0;
     while read < prefix.len() {
         match file.read(&mut prefix[read..]) {
@@ -962,9 +686,9 @@ pub fn probe_snapshot(path: impl AsRef<Path>) -> Result<SnapshotInfo, SnapshotEr
     parse_snapshot_header(&prefix[..read], file_len)
 }
 
-/// Serializes `graph` into the v2 snapshot format described in the module
-/// docs. Deterministic: equal graphs produce identical bytes.
-pub fn snapshot_bytes_v2(graph: &LabeledGraph) -> Vec<u8> {
+/// Serializes `graph` into the snapshot format described in the module docs.
+/// Deterministic: equal graphs produce identical bytes.
+pub fn snapshot_bytes(graph: &LabeledGraph) -> Vec<u8> {
     let n = graph.vertex_count();
     let csr = graph.csr();
     let fingerprint = graph_fingerprint(graph);
@@ -988,7 +712,7 @@ pub fn snapshot_bytes_v2(graph: &LabeledGraph) -> Vec<u8> {
         }
     }
     // Packed label index: directly loadable as the grouped-by-label vertex
-    // lists (unlike v1's (label, count) run list, which only cross-checks).
+    // lists.
     let classes: Vec<(Label, &[VertexId])> = csr.labels_with_vertices().collect();
     let mut index = Vec::with_capacity(4 * (2 + 2 * classes.len() + n));
     push_u32(&mut index, classes.len() as u32);
@@ -1010,8 +734,8 @@ pub fn snapshot_bytes_v2(graph: &LabeledGraph) -> Vec<u8> {
     // Lay the sections out at page-aligned offsets and fill the table.
     let align_up = |x: usize| x.div_ceil(SNAPSHOT_PAGE) * SNAPSHOT_PAGE;
     let payloads = [&labels, &offsets, &neighbors, &index];
-    let mut entries: Vec<SectionInfo> = Vec::with_capacity(V2_SECTION_COUNT);
-    let mut pos = align_up(V2_HEADER_LEN);
+    let mut entries: Vec<SectionInfo> = Vec::with_capacity(SECTION_COUNT);
+    let mut pos = align_up(SNAPSHOT_HEADER_LEN);
     for (i, payload) in payloads.iter().enumerate() {
         let mut h = StableHasher::new();
         h.write_bytes(payload);
@@ -1030,13 +754,13 @@ pub fn snapshot_bytes_v2(graph: &LabeledGraph) -> Vec<u8> {
 
     let mut out = vec![0u8; file_len];
     out[0..8].copy_from_slice(&SNAPSHOT_MAGIC);
-    out[8..12].copy_from_slice(&SNAPSHOT_VERSION_V2.to_le_bytes());
-    out[12..16].copy_from_slice(&(V2_SECTION_COUNT as u32).to_le_bytes());
+    out[8..12].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+    out[12..16].copy_from_slice(&(SECTION_COUNT as u32).to_le_bytes());
     out[16..24].copy_from_slice(&fingerprint.to_le_bytes());
     out[24..28].copy_from_slice(&(n as u32).to_le_bytes());
     out[28..32].copy_from_slice(&(graph.edge_count() as u32).to_le_bytes());
     for (i, entry) in entries.iter().enumerate() {
-        let at = V2_FIXED_LEN + i * V2_TABLE_ENTRY_LEN;
+        let at = FIXED_LEN + i * TABLE_ENTRY_LEN;
         out[at..at + 4].copy_from_slice(&entry.id.to_le_bytes());
         // 4 reserved (zero) bytes keep the u64 fields 8-aligned.
         out[at + 8..at + 16].copy_from_slice(&entry.offset.to_le_bytes());
@@ -1044,24 +768,25 @@ pub fn snapshot_bytes_v2(graph: &LabeledGraph) -> Vec<u8> {
         out[at + 24..at + 32].copy_from_slice(&entry.checksum.to_le_bytes());
     }
     let mut h = StableHasher::new();
-    h.write_bytes(&out[..V2_HEADER_LEN - 8]);
+    h.write_bytes(&out[..SNAPSHOT_HEADER_LEN - 8]);
     let header_checksum = h.finish();
-    out[V2_HEADER_LEN - 8..V2_HEADER_LEN].copy_from_slice(&header_checksum.to_le_bytes());
+    out[SNAPSHOT_HEADER_LEN - 8..SNAPSHOT_HEADER_LEN]
+        .copy_from_slice(&header_checksum.to_le_bytes());
     for (entry, payload) in entries.iter().zip(payloads) {
         out[entry.offset as usize..(entry.offset + entry.len) as usize].copy_from_slice(payload);
     }
     out
 }
 
-/// Writes `graph` to `path` in the v2 snapshot format, atomically (temp file
-/// + fsync + rename; see [`atomic_write`]).
-pub fn save_snapshot_v2(path: impl AsRef<Path>, graph: &LabeledGraph) -> Result<(), SnapshotError> {
+/// Writes `graph` to `path` in the snapshot format, atomically (temp file +
+/// fsync + rename; see [`atomic_write`]).
+pub fn save_snapshot(path: impl AsRef<Path>, graph: &LabeledGraph) -> Result<(), SnapshotError> {
     let path = path.as_ref();
-    atomic_write(path, &snapshot_bytes_v2(graph))
+    atomic_write(path, &snapshot_bytes(graph))
         .map_err(|e| SnapshotError::Io(format!("{}: {e}", path.display())))
 }
 
-/// How [`load_snapshot_v2`] / [`open_snapshot`] back the loaded graph.
+/// How [`load_snapshot`] backs the loaded graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LoadMode {
     /// Memory-map the file read-only and reinterpret sections in place: pages
@@ -1080,14 +805,11 @@ pub enum LoadMode {
     Eager,
 }
 
-/// Decodes a v2 snapshot held in shared storage (a mapping or a buffer) into
+/// Decodes a snapshot held in shared storage (a mapping or a buffer) into
 /// a frozen, zero-copy [`LabeledGraph`].
 fn graph_from_shared(bytes: SharedBytes, eager_index: bool) -> Result<LabeledGraph, SnapshotError> {
-    let prefix = &bytes.as_slice()[..bytes.len().min(V2_HEADER_LEN)];
+    let prefix = &bytes.as_slice()[..bytes.len().min(SNAPSHOT_HEADER_LEN)];
     let info = parse_snapshot_header(prefix, bytes.len() as u64)?;
-    if info.version != SNAPSHOT_VERSION_V2 {
-        return Err(SnapshotError::UnsupportedVersion(info.version));
-    }
     let n = info.vertex_count as usize;
     let e = info.edge_count as usize;
 
@@ -1151,17 +873,16 @@ fn graph_from_shared(bytes: SharedBytes, eager_index: bool) -> Result<LabeledGra
     Ok(graph)
 }
 
-/// Decodes a v2 snapshot byte stream (eagerly, from an owned copy). The
-/// in-memory counterpart of [`load_snapshot_v2`]; v1 bytes are rejected with
-/// [`SnapshotError::UnsupportedVersion`].
-pub fn graph_from_snapshot_v2(bytes: &[u8]) -> Result<LabeledGraph, SnapshotError> {
+/// Decodes a snapshot byte stream (eagerly, from an owned copy). The
+/// in-memory counterpart of [`load_snapshot`].
+pub fn graph_from_snapshot(bytes: &[u8]) -> Result<LabeledGraph, SnapshotError> {
     graph_from_shared(SharedBytes::new(AlignedBuf::from_bytes(bytes)), true)
 }
 
-/// Loads a v2 snapshot file, backed according to `mode`. v1 files are
-/// rejected with [`SnapshotError::UnsupportedVersion`]; use
-/// [`open_snapshot`] to accept both formats.
-pub fn load_snapshot_v2(
+/// Loads a snapshot file, backed according to `mode`. Files of any other
+/// version (including version 1) are rejected with
+/// [`SnapshotError::UnsupportedVersion`].
+pub fn load_snapshot(
     path: impl AsRef<Path>,
     mode: LoadMode,
 ) -> Result<LabeledGraph, SnapshotError> {
@@ -1193,19 +914,6 @@ pub fn load_snapshot_v2(
             }
         }
     })
-}
-
-/// Loads a snapshot file of either format: v1 decodes eagerly, v2 is backed
-/// according to `mode`. The one-call loader behind catalog restore.
-pub fn open_snapshot(
-    path: impl AsRef<Path>,
-    mode: LoadMode,
-) -> Result<LabeledGraph, SnapshotError> {
-    let path = path.as_ref();
-    match probe_snapshot(path)?.version {
-        SNAPSHOT_VERSION => load_snapshot(path),
-        _ => load_snapshot_v2(path, mode),
-    }
 }
 
 #[cfg(test)]
@@ -1280,23 +988,54 @@ mod tests {
         )
     }
 
+    fn temp_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("spidermine-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        dir
+    }
+
+    fn graphs_equal(a: &LabeledGraph, b: &LabeledGraph) {
+        assert_eq!(a.vertex_count(), b.vertex_count());
+        assert_eq!(a.edge_count(), b.edge_count());
+        assert_eq!(a.labels(), b.labels());
+        for v in a.vertices() {
+            assert_eq!(a.neighbors(v), b.neighbors(v));
+        }
+        assert_eq!(graph_fingerprint(a), graph_fingerprint(b));
+    }
+
+    fn header(bytes: &[u8]) -> SnapshotInfo {
+        parse_snapshot_header(&bytes[..SNAPSHOT_HEADER_LEN], bytes.len() as u64)
+            .expect("valid header")
+    }
+
+    /// Re-signs a forged header so only section-level validation can catch
+    /// the forgery.
+    fn resign_header(bytes: &mut [u8]) {
+        let mut h = StableHasher::new();
+        h.write_bytes(&bytes[..SNAPSHOT_HEADER_LEN - 8]);
+        bytes[SNAPSHOT_HEADER_LEN - 8..SNAPSHOT_HEADER_LEN]
+            .copy_from_slice(&h.finish().to_le_bytes());
+    }
+
     #[test]
     fn snapshot_roundtrip_is_byte_identical() {
         let g = snapshot_sample();
         let bytes = snapshot_bytes(&g);
         let back = graph_from_snapshot(&bytes).expect("decode");
-        assert_eq!(back.vertex_count(), g.vertex_count());
-        assert_eq!(back.edge_count(), g.edge_count());
-        assert_eq!(back.labels(), g.labels());
-        for v in g.vertices() {
-            assert_eq!(back.neighbors(v), g.neighbors(v));
-        }
-        // Save → load → re-save produces identical bytes, and the stored
-        // fingerprint survives the trip.
+        graphs_equal(&g, &back);
+        // Deterministic writer: save → load → re-save produces identical
+        // bytes, and the stored fingerprint survives the trip.
         assert_eq!(snapshot_bytes(&back), bytes);
+        assert_eq!(header(&bytes).fingerprint, graph_fingerprint(&back));
+        // The label index decoded from the packed section answers queries.
         assert_eq!(
-            snapshot_fingerprint(&bytes).expect("header"),
-            graph_fingerprint(&back)
+            back.vertices_with_label(Label(1)),
+            g.vertices_with_label(Label(1))
+        );
+        assert_eq!(
+            back.neighbor_label_histogram(VertexId(0)),
+            g.neighbor_label_histogram(VertexId(0))
         );
     }
 
@@ -1318,129 +1057,26 @@ mod tests {
             graph_from_snapshot(&bytes),
             Err(SnapshotError::BadMagic)
         ));
-        let mut bytes = snapshot_bytes(&snapshot_sample());
-        bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-        assert!(matches!(
-            graph_from_snapshot(&bytes),
-            Err(SnapshotError::UnsupportedVersion(99))
-        ));
-    }
-
-    #[test]
-    fn truncated_snapshot_is_a_typed_error() {
-        let bytes = snapshot_bytes(&snapshot_sample());
-        // Every truncation point must produce an error, never a panic. Short
-        // prefixes fail as Truncated; payload-shortening also breaks the
-        // checksum first — either way a typed error.
-        for len in 0..bytes.len() {
-            assert!(
-                graph_from_snapshot(&bytes[..len]).is_err(),
-                "prefix of {len} bytes decoded"
+        for version in [1u32, 99] {
+            let mut bytes = snapshot_bytes(&snapshot_sample());
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                graph_from_snapshot(&bytes).err(),
+                Some(SnapshotError::UnsupportedVersion(version))
+            );
+            // The version is read before the header length is checked, so a
+            // short file of another version is not misreported as truncated.
+            assert_eq!(
+                graph_from_snapshot(&bytes[..40]).err(),
+                Some(SnapshotError::UnsupportedVersion(version))
             );
         }
     }
 
     #[test]
-    fn bit_flipped_snapshot_is_a_typed_error() {
+    fn sections_are_page_aligned() {
         let bytes = snapshot_bytes(&snapshot_sample());
-        for i in 0..bytes.len() {
-            let mut corrupt = bytes.clone();
-            corrupt[i] ^= 0x20;
-            assert!(
-                graph_from_snapshot(&corrupt).is_err(),
-                "flip at byte {i} decoded"
-            );
-        }
-    }
-
-    #[test]
-    fn structural_corruption_is_reported_after_a_checksum_fixup() {
-        // Forge a payload with an asymmetric edge and a matching checksum: the
-        // structural validator, not just the checksum, must catch it.
-        let g = snapshot_sample();
-        let mut bytes = snapshot_bytes(&g);
-        let payload_start = 28;
-        // neighbors section starts after counts (8) + labels (5*4) + offsets (6*4).
-        let neighbors_at = payload_start + 8 + 20 + 24;
-        bytes[neighbors_at..neighbors_at + 4].copy_from_slice(&3u32.to_le_bytes());
-        let mut h = StableHasher::new();
-        h.write_bytes(&bytes[payload_start..]);
-        bytes[12..20].copy_from_slice(&h.finish().to_le_bytes());
-        match graph_from_snapshot(&bytes) {
-            Err(SnapshotError::Corrupt(_)) => {}
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn snapshot_file_helpers_roundtrip() {
-        let g = snapshot_sample();
-        let dir = std::env::temp_dir().join(format!("spidermine-snap-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("sample.snap");
-        save_snapshot(&path, &g).expect("save");
-        let back = load_snapshot(&path).expect("load");
-        assert_eq!(snapshot_bytes(&back), snapshot_bytes(&g));
-        std::fs::remove_dir_all(&dir).ok();
-        assert!(matches!(
-            load_snapshot(dir.join("missing.snap")),
-            Err(SnapshotError::Io(_))
-        ));
-    }
-
-    // -- format v2 ----------------------------------------------------------
-
-    fn temp_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("spidermine-{tag}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        dir
-    }
-
-    fn graphs_equal(a: &LabeledGraph, b: &LabeledGraph) {
-        assert_eq!(a.vertex_count(), b.vertex_count());
-        assert_eq!(a.edge_count(), b.edge_count());
-        assert_eq!(a.labels(), b.labels());
-        for v in a.vertices() {
-            assert_eq!(a.neighbors(v), b.neighbors(v));
-        }
-        assert_eq!(graph_fingerprint(a), graph_fingerprint(b));
-    }
-
-    #[test]
-    fn v2_roundtrip_and_determinism() {
-        let g = snapshot_sample();
-        let bytes = snapshot_bytes_v2(&g);
-        let back = graph_from_snapshot_v2(&bytes).expect("decode");
-        graphs_equal(&g, &back);
-        // Deterministic writer, and re-encoding the loaded graph reproduces
-        // the file byte for byte.
-        assert_eq!(snapshot_bytes_v2(&back), bytes);
-        // The label index decoded from the packed section answers queries.
-        assert_eq!(
-            back.vertices_with_label(Label(1)),
-            g.vertices_with_label(Label(1))
-        );
-        assert_eq!(
-            back.neighbor_label_histogram(VertexId(0)),
-            g.neighbor_label_histogram(VertexId(0))
-        );
-    }
-
-    #[test]
-    fn v2_empty_graph_roundtrips() {
-        let g = LabeledGraph::new();
-        let bytes = snapshot_bytes_v2(&g);
-        let back = graph_from_snapshot_v2(&bytes).expect("decode");
-        assert_eq!(back.vertex_count(), 0);
-        assert_eq!(snapshot_bytes_v2(&back), bytes);
-    }
-
-    #[test]
-    fn v2_sections_are_page_aligned() {
-        let bytes = snapshot_bytes_v2(&snapshot_sample());
-        let info = parse_snapshot_header(&bytes[..V2_HEADER_LEN], bytes.len() as u64)
-            .expect("valid header");
-        assert_eq!(info.version, SNAPSHOT_VERSION_V2);
+        let info = header(&bytes);
         assert_eq!(info.sections.len(), 4);
         for s in &info.sections {
             assert_eq!(
@@ -1455,39 +1091,94 @@ mod tests {
     }
 
     #[test]
-    fn cross_version_loads_are_typed_rejections() {
-        let g = snapshot_sample();
-        // v1 reader fed v2 bytes.
-        assert!(matches!(
-            graph_from_snapshot(&snapshot_bytes_v2(&g)),
-            Err(SnapshotError::UnsupportedVersion(2))
-        ));
-        // v2 reader fed v1 bytes.
-        assert!(matches!(
-            graph_from_snapshot_v2(&snapshot_bytes(&g)),
-            Err(SnapshotError::UnsupportedVersion(1))
-        ));
+    fn truncated_snapshot_is_a_typed_error() {
+        let bytes = snapshot_bytes(&snapshot_sample());
+        // Every truncation point — header, table, padding, sections — must
+        // produce an error, never a panic.
+        for len in 0..bytes.len() {
+            assert!(
+                graph_from_snapshot(&bytes[..len]).is_err(),
+                "prefix of {len} bytes decoded"
+            );
+        }
     }
 
     #[test]
-    fn probe_reads_both_formats_without_decoding() {
+    fn bit_flipped_snapshot_is_a_typed_error() {
+        let bytes = snapshot_bytes(&snapshot_sample());
+        let info = header(&bytes);
+        // Every byte the format accounts for: the header with its table, and
+        // each section (an eager decode checks all four). The zero padding
+        // between sections carries no information.
+        let mut covered: Vec<usize> = (0..SNAPSHOT_HEADER_LEN).collect();
+        for s in &info.sections {
+            covered.extend(s.offset as usize..(s.offset + s.len) as usize);
+        }
+        for i in covered {
+            let mut corrupt = bytes.clone();
+            corrupt[i] ^= 0x20;
+            assert!(
+                graph_from_snapshot(&corrupt).is_err(),
+                "flip at byte {i} decoded"
+            );
+        }
+    }
+
+    #[test]
+    fn structural_corruption_is_reported_after_a_checksum_fixup() {
+        // Forge a neighbors section with an asymmetric edge and matching
+        // section and header checksums: the structural validator, not just
+        // the checksums, must catch it.
+        let mut bytes = snapshot_bytes(&snapshot_sample());
+        let nbr = *header(&bytes).section(SECTION_NEIGHBORS).expect("section");
+        let at = nbr.offset as usize;
+        bytes[at..at + 4].copy_from_slice(&3u32.to_le_bytes());
+        let mut h = StableHasher::new();
+        h.write_bytes(&bytes[at..at + nbr.len as usize]);
+        let entry_at = FIXED_LEN + 2 * TABLE_ENTRY_LEN;
+        bytes[entry_at + 24..entry_at + 32].copy_from_slice(&h.finish().to_le_bytes());
+        resign_header(&mut bytes);
+        match graph_from_snapshot(&bytes) {
+            Err(SnapshotError::Corrupt(_)) => {}
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn snapshot_file_helpers_roundtrip() {
+        let g = snapshot_sample();
+        let dir = temp_dir("snap");
+        let path = dir.join("sample.snap");
+        save_snapshot(&path, &g).expect("save");
+        for mode in [LoadMode::Mapped, LoadMode::Buffered, LoadMode::Eager] {
+            let back = load_snapshot(&path, mode).expect("load");
+            graphs_equal(&g, &back);
+            assert_eq!(
+                back.vertices_with_label(Label(0)),
+                g.vertices_with_label(Label(0)),
+                "label index under {mode:?}"
+            );
+            // The loaded graph re-snapshots identically.
+            assert_eq!(snapshot_bytes(&back), snapshot_bytes(&g));
+            assert!(matches!(
+                load_snapshot(dir.join("missing.snap"), mode),
+                Err(SnapshotError::Io(_))
+            ));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn probe_reads_the_header_without_decoding() {
         let g = snapshot_sample();
         let dir = temp_dir("probe");
-        let v1 = dir.join("g.snap");
-        let v2 = dir.join("g.snap2");
-        save_snapshot(&v1, &g).expect("save v1");
-        save_snapshot_v2(&v2, &g).expect("save v2");
-        let fp = graph_fingerprint(&g);
-        let info1 = probe_snapshot(&v1).expect("probe v1");
-        assert_eq!((info1.version, info1.fingerprint), (1, fp));
-        assert_eq!(info1.vertex_count, 5);
-        assert_eq!(info1.edge_count, 4);
-        assert!(info1.sections.is_empty());
-        let info2 = probe_snapshot(&v2).expect("probe v2");
-        assert_eq!((info2.version, info2.fingerprint), (2, fp));
-        assert_eq!(info2.vertex_count, 5);
-        assert_eq!(info2.edge_count, 4);
-        assert_eq!(info2.sections.len(), 4);
+        let path = dir.join("g.snap");
+        save_snapshot(&path, &g).expect("save");
+        let info = probe_snapshot(&path).expect("probe");
+        assert_eq!(info.fingerprint, graph_fingerprint(&g));
+        assert_eq!(info.vertex_count, 5);
+        assert_eq!(info.edge_count, 4);
+        assert_eq!(info.sections.len(), 4);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1495,10 +1186,10 @@ mod tests {
     fn probe_rejects_truncated_headers() {
         let g = snapshot_sample();
         let dir = temp_dir("probe-trunc");
-        let bytes = snapshot_bytes_v2(&g);
+        let bytes = snapshot_bytes(&g);
         // Cut the file inside the section table.
-        for cut in [0, 4, 11, 40, V2_HEADER_LEN - 1] {
-            let path = dir.join(format!("cut-{cut}.snap2"));
+        for cut in [0, 4, 11, 40, SNAPSHOT_HEADER_LEN - 1] {
+            let path = dir.join(format!("cut-{cut}.snap"));
             std::fs::write(&path, &bytes[..cut]).expect("write");
             assert!(
                 matches!(probe_snapshot(&path), Err(SnapshotError::Truncated { .. })),
@@ -1506,7 +1197,7 @@ mod tests {
             );
         }
         // Header intact but a section cut off: the table bounds-check fails.
-        let path = dir.join("short-section.snap2");
+        let path = dir.join("short-section.snap");
         std::fs::write(&path, &bytes[..bytes.len() - 1]).expect("write");
         assert!(matches!(
             probe_snapshot(&path),
@@ -1515,27 +1206,16 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Re-signs a forged v2 header so only section-level validation can catch
-    /// the forgery.
-    fn resign_v2_header(bytes: &mut [u8]) {
-        let mut h = StableHasher::new();
-        h.write_bytes(&bytes[..V2_HEADER_LEN - 8]);
-        bytes[V2_HEADER_LEN - 8..V2_HEADER_LEN].copy_from_slice(&h.finish().to_le_bytes());
-    }
-
     #[test]
-    fn v2_bit_flip_in_each_section_names_that_section() {
-        let g = snapshot_sample();
-        let bytes = snapshot_bytes_v2(&g);
-        let info =
-            parse_snapshot_header(&bytes[..V2_HEADER_LEN], bytes.len() as u64).expect("header");
-        for s in &info.sections {
+    fn bit_flip_in_each_section_names_that_section() {
+        let bytes = snapshot_bytes(&snapshot_sample());
+        for s in &header(&bytes).sections {
             if s.len == 0 {
                 continue;
             }
             let mut corrupt = bytes.clone();
             corrupt[s.offset as usize] ^= 0x10;
-            match graph_from_snapshot_v2(&corrupt) {
+            match graph_from_snapshot(&corrupt) {
                 Err(SnapshotError::SectionChecksumMismatch { section, .. }) => {
                     assert_eq!(section, s.name(), "wrong section blamed");
                 }
@@ -1545,26 +1225,31 @@ mod tests {
     }
 
     #[test]
-    fn v2_header_bit_flip_is_caught_by_header_checksum() {
-        let bytes = snapshot_bytes_v2(&snapshot_sample());
-        for at in [8usize, 13, 17, 25, 40, 100, 159] {
+    fn header_bit_flip_is_caught_by_header_checksum() {
+        let bytes = snapshot_bytes(&snapshot_sample());
+        for at in [13usize, 17, 25, 40, 100, 159] {
             let mut corrupt = bytes.clone();
             corrupt[at] ^= 0x01;
-            let result = graph_from_snapshot_v2(&corrupt);
-            assert!(result.is_err(), "header flip at {at} decoded");
+            assert!(
+                matches!(
+                    graph_from_snapshot(&corrupt),
+                    Err(SnapshotError::ChecksumMismatch { .. })
+                ),
+                "header flip at {at}"
+            );
         }
     }
 
     #[test]
-    fn v2_misaligned_section_offset_is_typed() {
-        let mut bytes = snapshot_bytes_v2(&snapshot_sample());
+    fn misaligned_section_offset_is_typed() {
+        let mut bytes = snapshot_bytes(&snapshot_sample());
         // Nudge the neighbors section offset off the page boundary and
         // re-sign the header so only the alignment check can object.
-        let entry_at = V2_FIXED_LEN + 2 * V2_TABLE_ENTRY_LEN;
+        let entry_at = FIXED_LEN + 2 * TABLE_ENTRY_LEN;
         let offset = u64::from_le_bytes(bytes[entry_at + 8..entry_at + 16].try_into().expect("8"));
         bytes[entry_at + 8..entry_at + 16].copy_from_slice(&(offset + 4).to_le_bytes());
-        resign_v2_header(&mut bytes);
-        match graph_from_snapshot_v2(&bytes) {
+        resign_header(&mut bytes);
+        match graph_from_snapshot(&bytes) {
             Err(SnapshotError::MisalignedSection { section, offset: o }) => {
                 assert_eq!(section, "neighbors");
                 assert_eq!(o, offset + 4);
@@ -1574,78 +1259,30 @@ mod tests {
     }
 
     #[test]
-    fn v2_forged_fingerprint_is_caught() {
-        let mut bytes = snapshot_bytes_v2(&snapshot_sample());
+    fn forged_fingerprint_is_caught() {
+        let mut bytes = snapshot_bytes(&snapshot_sample());
         bytes[16..24].copy_from_slice(&0xdead_beefu64.to_le_bytes());
-        resign_v2_header(&mut bytes);
-        match graph_from_snapshot_v2(&bytes) {
+        resign_header(&mut bytes);
+        match graph_from_snapshot(&bytes) {
             Err(SnapshotError::Corrupt(m)) => assert!(m.contains("fingerprint"), "{m}"),
             other => panic!("expected Corrupt(fingerprint), got {other:?}"),
         }
     }
 
     #[test]
-    fn v2_truncation_sweep_never_panics() {
-        let bytes = snapshot_bytes_v2(&snapshot_sample());
-        // Sample truncation points across header, table, padding, sections.
-        let mut cuts: Vec<usize> = (0..V2_HEADER_LEN).step_by(7).collect();
-        cuts.extend((V2_HEADER_LEN..bytes.len()).step_by(613));
-        for cut in cuts {
-            assert!(
-                graph_from_snapshot_v2(&bytes[..cut]).is_err(),
-                "prefix of {cut} bytes decoded"
-            );
-        }
-    }
-
-    #[test]
-    fn v2_file_load_modes_agree() {
-        let g = snapshot_sample();
-        let dir = temp_dir("modes");
-        let path = dir.join("g.snap2");
-        save_snapshot_v2(&path, &g).expect("save");
-        for mode in [LoadMode::Mapped, LoadMode::Buffered, LoadMode::Eager] {
-            let back = load_snapshot_v2(&path, mode).expect("load");
-            graphs_equal(&g, &back);
-            assert_eq!(
-                back.vertices_with_label(Label(0)),
-                g.vertices_with_label(Label(0)),
-                "label index under {mode:?}"
-            );
-            // The loaded graph re-snapshots identically in both formats.
-            assert_eq!(snapshot_bytes_v2(&back), snapshot_bytes_v2(&g));
-            assert_eq!(snapshot_bytes(&back), snapshot_bytes(&g));
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn open_snapshot_dispatches_on_version() {
-        let g = snapshot_sample();
-        let dir = temp_dir("open");
-        let v1 = dir.join("g.snap");
-        let v2 = dir.join("g.snap2");
-        save_snapshot(&v1, &g).expect("save v1");
-        save_snapshot_v2(&v2, &g).expect("save v2");
-        graphs_equal(&g, &open_snapshot(&v1, LoadMode::Mapped).expect("open v1"));
-        graphs_equal(&g, &open_snapshot(&v2, LoadMode::Mapped).expect("open v2"));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn mapped_load_with_corrupt_label_index_falls_back_to_rebuild() {
         let g = snapshot_sample();
-        let mut bytes = snapshot_bytes_v2(&g);
-        let info =
-            parse_snapshot_header(&bytes[..V2_HEADER_LEN], bytes.len() as u64).expect("header");
-        let idx = *info.section(SECTION_LABEL_INDEX).expect("section");
+        let mut bytes = snapshot_bytes(&g);
+        let idx = *header(&bytes)
+            .section(SECTION_LABEL_INDEX)
+            .expect("section");
         bytes[idx.offset as usize + 5] ^= 0xff;
         let dir = temp_dir("lazy-fallback");
-        let path = dir.join("g.snap2");
+        let path = dir.join("g.snap");
         std::fs::write(&path, &bytes).expect("write");
         // Eager load objects with a typed error…
         assert!(matches!(
-            load_snapshot_v2(&path, LoadMode::Eager),
+            load_snapshot(&path, LoadMode::Eager),
             Err(SnapshotError::SectionChecksumMismatch {
                 section: "label-index",
                 ..
@@ -1654,7 +1291,7 @@ mod tests {
         // …but the lazy modes self-heal: the section is redundant, so the
         // index is rebuilt from the (validated) labels section on first use.
         for mode in [LoadMode::Mapped, LoadMode::Buffered] {
-            let back = load_snapshot_v2(&path, mode).expect("lazy load");
+            let back = load_snapshot(&path, mode).expect("lazy load");
             assert_eq!(
                 back.vertices_with_label(Label(1)),
                 g.vertices_with_label(Label(1))

@@ -22,7 +22,7 @@
 //! * [`transaction`] — a graph-transaction database for the Figures 14–15
 //!   comparison against ORIGAMI.
 //! * [`io`] — a small text format for persisting graphs and patterns, plus
-//!   the binary snapshot formats (v1 eager, v2 mmap-backed zero-copy).
+//!   the binary snapshot format (mmap-backed, zero-copy).
 //! * [`shared`] — reference-counted byte regions and typed slices
 //!   ([`SharedBytes`], [`ArcSlice`]) that let frozen graphs borrow snapshot
 //!   storage (a memory mapping or a read buffer) without copying.

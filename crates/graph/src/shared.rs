@@ -1,6 +1,6 @@
 //! Reference-counted immutable slices over shared byte storage.
 //!
-//! The snapshot format v2 (`io`) lays fixed-width little-endian `u32` arrays
+//! The snapshot format (`io`) lays fixed-width little-endian `u32` arrays
 //! out on disk so that the on-disk bytes *are* the in-memory representation.
 //! This module provides the two types that make that zero-copy story safe:
 //!

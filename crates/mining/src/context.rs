@@ -10,8 +10,6 @@
 //! surface.
 
 use crate::embedding::Embedding;
-use crate::eval::{MemoOracle, OracleStats, SupportOracle};
-use crate::support::SupportMeasure;
 use spidermine_graph::graph::LabeledGraph;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -106,16 +104,6 @@ pub struct MineContext {
     /// True once a poll observed the deadline expired (distinguishes a
     /// timeout from a caller-fired cancellation).
     deadline_hit: bool,
-    /// The support oracle miners consult at their pattern-level decision
-    /// points. Installed explicitly via [`MineContext::with_support_oracle`],
-    /// or created on first use (a [`MemoOracle`] for the miner's configured
-    /// measure). Shared so a reused context carries its memo across runs.
-    oracle: Option<Arc<dyn SupportOracle>>,
-    /// True when `oracle` was installed by the caller (an explicit oracle
-    /// overrides any configured measure); false when it was auto-created, in
-    /// which case a run configured with a *different* measure gets a fresh
-    /// auto-oracle instead of silently inheriting the old measure's memo.
-    oracle_explicit: bool,
     /// Telemetry identity of this run: the job's trace id and the span the
     /// run's stage spans parent under (both 0 when untraced). Set by the
     /// scheduler before dispatch, or adopted from the wire for remote jobs.
@@ -129,7 +117,6 @@ impl std::fmt::Debug for MineContext {
             .field("cancelled", &self.cancel.is_cancelled())
             .field("has_progress", &self.progress.is_some())
             .field("has_sink", &self.sink.is_some())
-            .field("has_oracle", &self.oracle.is_some())
             .field("has_deadline", &self.deadline.is_some())
             .field("timed_out", &self.deadline_hit)
             .field("timings", &self.timings)
@@ -163,39 +150,6 @@ impl MineContext {
     pub fn on_pattern<F: FnMut(StreamedPattern) + Send + 'static>(mut self, f: F) -> Self {
         self.sink = Some(Box::new(f));
         self
-    }
-
-    /// Installs a support oracle (builder style). Miners consult it instead
-    /// of computing their configured [`SupportMeasure`] directly, so callers
-    /// can share one memo across runs or swap in different support semantics.
-    /// An explicitly installed oracle wins even when its measure differs from
-    /// a run's configuration — that is the override point.
-    pub fn with_support_oracle(mut self, oracle: Arc<dyn SupportOracle>) -> Self {
-        self.oracle = Some(oracle);
-        self.oracle_explicit = true;
-        self
-    }
-
-    /// The context's support oracle: the explicitly installed one, or a
-    /// memoizing [`MemoOracle`] for `default_measure` (auto-created on first
-    /// use and kept across runs so a reused context carries its memo). An
-    /// auto-created oracle is tied to its measure: a later run configured
-    /// with a different measure gets a fresh oracle rather than silently
-    /// evaluating under the previous run's measure.
-    pub fn support_oracle(&mut self, default_measure: SupportMeasure) -> Arc<dyn SupportOracle> {
-        match &self.oracle {
-            Some(o) if self.oracle_explicit || o.measure() == default_measure => o.clone(),
-            _ => {
-                let fresh: Arc<dyn SupportOracle> = Arc::new(MemoOracle::new(default_measure));
-                self.oracle = Some(fresh.clone());
-                fresh
-            }
-        }
-    }
-
-    /// Hit/miss statistics of the context's oracle, if one exists yet.
-    pub fn oracle_stats(&self) -> Option<OracleStats> {
-        self.oracle.as_ref().map(|o| o.stats())
     }
 
     /// A clone of the context's cancel token (to fire it from elsewhere).
@@ -416,27 +370,6 @@ mod tests {
             });
         }
         assert!(ctx.was_cancelled());
-    }
-
-    #[test]
-    fn auto_oracle_follows_the_requested_measure_but_explicit_wins() {
-        let mut ctx = MineContext::new();
-        let a = ctx.support_oracle(SupportMeasure::MinimumImage);
-        let b = ctx.support_oracle(SupportMeasure::MinimumImage);
-        assert!(Arc::ptr_eq(&a, &b), "same measure reuses the memo");
-        let c = ctx.support_oracle(SupportMeasure::GreedyDisjoint);
-        assert_eq!(c.measure(), SupportMeasure::GreedyDisjoint);
-        assert!(
-            !Arc::ptr_eq(&a, &c),
-            "a different measure must not inherit the old memo"
-        );
-        // An explicitly installed oracle overrides any configured measure.
-        let explicit: Arc<dyn SupportOracle> =
-            Arc::new(crate::eval::MemoOracle::new(SupportMeasure::EmbeddingCount));
-        let mut ctx = MineContext::new().with_support_oracle(explicit.clone());
-        let got = ctx.support_oracle(SupportMeasure::MinimumImage);
-        assert!(Arc::ptr_eq(&explicit, &got));
-        assert_eq!(got.measure(), SupportMeasure::EmbeddingCount);
     }
 
     #[test]

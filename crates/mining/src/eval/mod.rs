@@ -1,11 +1,10 @@
 //! The incremental embedding-evaluation layer.
 //!
 //! Support evaluation is the hot path of every miner in the workspace, and
-//! before this layer it was dominated by two redundancies: child patterns
-//! were re-matched from scratch even though they differ from their parent by
-//! one edge and the parent's embeddings were in hand, and the same canonical
-//! pattern was re-evaluated every time a loop met it again. The eval layer
-//! removes both, behind three pieces:
+//! before this layer it was dominated by re-matching: child patterns were
+//! re-matched from scratch even though they differ from their parent by one
+//! edge and the parent's embeddings were in hand. The eval layer removes
+//! that, behind two pieces:
 //!
 //! * [`EmbeddingStore`] — the columnar embedding arena (one flat `VertexId`
 //!   pool, [`EmbeddingSetId`] handles), replacing the `Vec<Embedding>` lists
@@ -13,19 +12,16 @@
 //!   runs the incremental engine
 //!   ([`iso::extend_embeddings`](spidermine_graph::iso::extend_embeddings));
 //!   [`EmbeddingStore::discover`] is the retained scratch-matcher fallback.
-//! * [`SupportOracle`] — pluggable support evaluation;
-//!   [`MemoOracle`] memoizes per canonical pattern (signature buckets + VF2
-//!   confirmation) so merge detection, pool selection and sampling walks never
-//!   evaluate the same pattern twice.
+//!   Supports are computed directly from a set's rows
+//!   ([`EmbeddingSetView::support`]) under the miner's configured
+//!   [`SupportMeasure`](crate::support::SupportMeasure).
 //! * [`bitset`] — the shared [`VertexBitset`] / vertex-set dedup helpers that
 //!   `support` and `embedding` previously each owned a copy of.
 //!
 //! See `DESIGN.md` § "Incremental evaluation layer" for the invariants.
 
 pub mod bitset;
-pub mod oracle;
 pub mod store;
 
 pub use bitset::{popcount_words, popcount_words_scalar, VertexBitset};
-pub use oracle::{DirectOracle, MemoOracle, OracleStats, PatternMemo, SupportOracle};
 pub use store::{EmbeddingSetId, EmbeddingSetView, EmbeddingStore, FlatEmbeddings};

@@ -20,8 +20,8 @@
 //!   point.
 //! * [`eval`] — the incremental embedding-evaluation layer: the columnar
 //!   [`eval::EmbeddingStore`] arena (flat `VertexId` pool,
-//!   [`eval::EmbeddingSetId`] handles), the memoizing
-//!   [`eval::SupportOracle`], and the shared [`eval::VertexBitset`].
+//!   [`eval::EmbeddingSetId`] handles) with direct support evaluation over
+//!   its rows, and the shared [`eval::VertexBitset`].
 
 pub mod context;
 pub mod embedding;
@@ -34,10 +34,7 @@ pub mod support;
 
 pub use context::{CancelToken, MineContext, ProgressEvent, StageTiming, StreamedPattern};
 pub use embedding::{EmbeddedPattern, Embedding};
-pub use eval::{
-    DirectOracle, EmbeddingSetId, EmbeddingSetView, EmbeddingStore, FlatEmbeddings, MemoOracle,
-    OracleStats, PatternMemo, SupportOracle, VertexBitset,
-};
+pub use eval::{EmbeddingSetId, EmbeddingSetView, EmbeddingStore, FlatEmbeddings, VertexBitset};
 pub use pattern_index::PatternIndex;
 pub use spider::{Spider, SpiderCatalog, SpiderId, SpiderMiningConfig};
 pub use support::SupportMeasure;

@@ -6,6 +6,11 @@
 //! (Section 4.2.2): bucket patterns by a cheap isomorphism-invariant
 //! signature, and only run the full VF2 isomorphism test against patterns in
 //! the same bucket.
+//!
+//! The index doubles as a memo keyed on isomorphism class: a caller keeps a
+//! `Vec` of values indexed by [`PatternId`], looks a pattern up with
+//! [`PatternIndex::find`] and, on a miss, [`PatternIndex::insert`]s it and
+//! pushes the freshly computed value.
 
 use rustc_hash::FxHashMap;
 use spidermine_graph::graph::LabeledGraph;
@@ -51,18 +56,18 @@ impl PatternIndex {
         (id, true)
     }
 
-    /// Returns whether an isomorphic pattern is already present, without inserting.
-    pub fn contains(&mut self, pattern: &LabeledGraph) -> bool {
+    /// The id of the stored pattern isomorphic to `pattern`, if any, without
+    /// inserting (and without cloning `pattern`).
+    pub fn find(&mut self, pattern: &LabeledGraph) -> Option<PatternId> {
         let sig = invariant_signature(pattern);
-        if let Some(bucket) = self.buckets.get(&sig) {
-            for &id in bucket {
-                self.iso_tests += 1;
-                if iso::are_isomorphic(&self.patterns[id], pattern) {
-                    return true;
-                }
+        let bucket = self.buckets.get(&sig)?;
+        for &id in bucket {
+            self.iso_tests += 1;
+            if iso::are_isomorphic(&self.patterns[id], pattern) {
+                return Some(id);
             }
         }
-        false
+        None
     }
 
     /// The representative pattern for `id`.
@@ -124,11 +129,36 @@ mod tests {
     }
 
     #[test]
-    fn contains_does_not_insert() {
+    fn find_does_not_insert() {
         let mut idx = PatternIndex::new();
-        assert!(!idx.contains(&path(&[1, 2])));
-        idx.insert(path(&[1, 2]));
-        assert!(idx.contains(&path(&[2, 1])));
+        assert_eq!(idx.find(&path(&[1, 2])), None);
+        let (id, _) = idx.insert(path(&[1, 2]));
+        assert_eq!(idx.find(&path(&[2, 1])), Some(id));
+        assert_eq!(idx.len(), 1);
+    }
+
+    #[test]
+    fn ids_key_a_value_table_per_isomorphism_class() {
+        // The memo pattern the transaction miners use: values live in a Vec
+        // indexed by PatternId, so isomorphic patterns are evaluated once.
+        let mut idx = PatternIndex::new();
+        let mut values: Vec<usize> = Vec::new();
+        let mut evaluations = 0;
+        let a = LabeledGraph::from_parts(&[Label(0), Label(1)], &[(0, 1)]);
+        let b = LabeledGraph::from_parts(&[Label(1), Label(0)], &[(0, 1)]);
+        for g in [&a, &b, &a] {
+            let value = match idx.find(g) {
+                Some(id) => values[id],
+                None => {
+                    evaluations += 1;
+                    idx.insert(g.clone());
+                    values.push(42);
+                    42
+                }
+            };
+            assert_eq!(value, 42);
+        }
+        assert_eq!(evaluations, 1);
         assert_eq!(idx.len(), 1);
     }
 

@@ -21,7 +21,7 @@
 //!
 //! # Persistence
 //!
-//! [`GraphCatalog::persist`] writes every registered graph as a v2 snapshot
+//! [`GraphCatalog::persist`] writes every registered graph as a snapshot
 //! (content-addressed by fingerprint, so re-persisting an unchanged graph
 //! rewrites nothing) plus a `catalog.manifest` naming them, atomically
 //! rewritten via temp-file + rename. [`GraphCatalog::restore`] reads the
@@ -155,7 +155,7 @@ impl GraphSnapshot {
                     self.fingerprint
                 )));
             }
-            io::open_snapshot(path, *mode)
+            io::load_snapshot(path, *mode)
         });
         match result {
             Ok(graph) => {
@@ -276,9 +276,8 @@ impl GraphCatalog {
         self.len() == 0
     }
 
-    /// Persists the named snapshot to `path` in the v1 binary snapshot
-    /// format (single eager payload). Prefer [`GraphCatalog::persist`] for
-    /// whole-catalog persistence in the lazy v2 format.
+    /// Persists the named snapshot to `path` in the binary snapshot format.
+    /// Prefer [`GraphCatalog::persist`] for whole-catalog persistence.
     pub fn save(&self, name: &str, path: impl AsRef<Path>) -> Result<(), ServiceError> {
         let snapshot = self
             .get(name)
@@ -287,7 +286,7 @@ impl GraphCatalog {
         Ok(())
     }
 
-    /// Loads a snapshot file (either format) eagerly and registers it under
+    /// Loads a snapshot file eagerly and registers it under
     /// `name`. The decoded graph's fingerprint necessarily equals the one
     /// stored in the file (the loader verifies it), so a reloaded graph hits
     /// the same cache entries as the original. For header-only registration
@@ -297,11 +296,11 @@ impl GraphCatalog {
         name: impl Into<String>,
         path: impl AsRef<Path>,
     ) -> Result<Arc<GraphSnapshot>, ServiceError> {
-        let graph = io::open_snapshot(path, LoadMode::Eager)?;
+        let graph = io::load_snapshot(path, LoadMode::Eager)?;
         Ok(self.register(name, graph))
     }
 
-    /// Persists the whole catalog into `dir`: one v2 snapshot file per graph,
+    /// Persists the whole catalog into `dir`: one snapshot file per graph,
     /// named by content fingerprint (`<fingerprint>.snap`, so identical
     /// graphs dedupe and unchanged graphs are not rewritten), plus a
     /// [`MANIFEST_FILE`] listing `name → file + fingerprint`. The manifest is
@@ -323,7 +322,7 @@ impl GraphCatalog {
             let file = format!("{:016x}.snap", snapshot.fingerprint());
             let path = dir.join(&file);
             if !path.exists() {
-                io::save_snapshot_v2(&path, snapshot.ensure_loaded()?)?;
+                io::save_snapshot(&path, snapshot.ensure_loaded()?)?;
             }
             lines.push_str(&format!("{:016x} {file} {name}\n", snapshot.fingerprint()));
         }
@@ -445,7 +444,7 @@ mod tests {
     fn save_load_roundtrip_preserves_fingerprint() {
         let catalog = GraphCatalog::new();
         let original = catalog.register("toy", toy());
-        let dir = temp_dir("v1");
+        let dir = temp_dir("save");
         let path = dir.join("toy.snap");
         catalog.save("toy", &path).expect("save");
         let restored = GraphCatalog::new();
@@ -468,8 +467,8 @@ mod tests {
     fn register_snapshot_file_is_lazy_until_first_use() {
         let g = toy();
         let dir = temp_dir("lazy");
-        let path = dir.join("toy.snap2");
-        io::save_snapshot_v2(&path, &g).expect("save");
+        let path = dir.join("toy.snap");
+        io::save_snapshot(&path, &g).expect("save");
         let catalog = GraphCatalog::new();
         let snap = catalog
             .register_snapshot_file("toy", &path, LoadMode::Mapped)
@@ -487,8 +486,8 @@ mod tests {
     fn lazy_load_errors_are_typed_and_sticky() {
         let g = toy();
         let dir = temp_dir("sticky");
-        let path = dir.join("toy.snap2");
-        io::save_snapshot_v2(&path, &g).expect("save");
+        let path = dir.join("toy.snap");
+        io::save_snapshot(&path, &g).expect("save");
         let catalog = GraphCatalog::new();
         let snap = catalog
             .register_snapshot_file("toy", &path, LoadMode::Mapped)
@@ -515,8 +514,8 @@ mod tests {
     fn transient_io_failures_are_retryable_not_sticky() {
         let g = toy();
         let dir = temp_dir("transient");
-        let path = dir.join("toy.snap2");
-        io::save_snapshot_v2(&path, &g).expect("save");
+        let path = dir.join("toy.snap");
+        io::save_snapshot(&path, &g).expect("save");
         let catalog = GraphCatalog::new();
         let snap = catalog
             .register_snapshot_file("toy", &path, LoadMode::Mapped)
@@ -619,7 +618,7 @@ mod tests {
         // A manifest whose fingerprint disagrees with the snapshot file.
         let g = toy();
         let file = format!("{:016x}.snap", graph_fingerprint(&g));
-        io::save_snapshot_v2(dir.join(&file), &g).expect("save");
+        io::save_snapshot(dir.join(&file), &g).expect("save");
         std::fs::write(
             dir.join(MANIFEST_FILE),
             format!("{:016x} {file} toy\n", 0xdead_beefu64),

@@ -16,11 +16,11 @@
 //! overlap detection, union construction, spider-set hashing) runs in
 //! parallel over blocks of candidate pairs; only the order-sensitive
 //! grouping walk stays on the driver, consuming the scans in pair order so
-//! the round is byte-identical to a sequential one. Group support is deliberately computed **raw**
-//! from the round's witness rows, not through the memoizing support oracle:
-//! it is a per-round quantity (the same union class legitimately collects
-//! more witnesses in later Stage II rounds as patterns grow toward each
-//! other), so a memo keyed on the pattern class would freeze the first
+//! the round is byte-identical to a sequential one. Group support is computed
+//! **raw** from the round's witness rows and never memoized per pattern
+//! class: it is a per-round quantity (the same union class legitimately
+//! collects more witnesses in later Stage II rounds as patterns grow toward
+//! each other), so a memo keyed on the pattern class would freeze the first
 //! round's count and could reject every later merge of that class.
 
 use crate::config::SpiderMineConfig;

@@ -90,11 +90,8 @@ impl SpiderMiner {
         let mut stats = MiningStats::default();
         // The run's embedding arena: every grown/merged/pooled pattern holds
         // an `EmbeddingSetId` into this store instead of an owned
-        // `Vec<Embedding>`. The support oracle comes from the context, so a
-        // caller can share one memo across runs (default: a fresh memoizing
-        // oracle for this config's measure).
+        // `Vec<Embedding>`.
         let mut store = EmbeddingStore::new();
-        let oracle = ctx.support_oracle(config.support_measure);
 
         // ---------------------------------------------------------------
         // Stage I: mine all r-spiders.
@@ -371,15 +368,14 @@ impl SpiderMiner {
         // Per-pattern support evaluation is independent, so each block of the
         // pool is evaluated in parallel — but block by block, so the scan
         // stays lazy: once K patterns are accepted the remaining (often much
-        // larger) tail of the pool is never evaluated. The pool is
-        // isomorphism-deduplicated, so consulting the memoizing oracle from
-        // the parallel map stays deterministic (no two entries share a memo
-        // key).
+        // larger) tail of the pool is never evaluated. Each support is a
+        // pure function of the entry's own rows, so the parallel map is
+        // deterministic.
         let block_size = (4 * config.k).max(16);
         'select: for block in pool.chunks(block_size) {
             let supports: Vec<usize> = block
                 .par_iter()
-                .map(|p| oracle.support(&p.pattern, store.view(p.embeddings)))
+                .map(|p| store.view(p.embeddings).support(config.support_measure))
                 .collect();
             for (p, support) in block.iter().zip(supports) {
                 if result.patterns.len() >= config.k || ctx.is_cancelled() {
@@ -423,10 +419,6 @@ impl SpiderMiner {
         result.sort_patterns();
         ctx.record_stage("select", select_start.elapsed());
         ctx.progress(ProgressEvent::StageFinished { stage: "select" });
-        if let Some(oracle_stats) = ctx.oracle_stats() {
-            result.stats.oracle_hits = oracle_stats.hits;
-            result.stats.oracle_misses = oracle_stats.misses;
-        }
         result.stats.cancelled = ctx.was_cancelled();
         result.stats.total_time = total_start.elapsed();
         result

@@ -53,11 +53,6 @@ pub struct MiningStats {
     /// group but could not be re-fetched and were dropped from the group's
     /// support set (see `MergeStats::dropped_embeddings`). Should be 0.
     pub merge_embeddings_dropped: usize,
-    /// Support-oracle memo hits observed by the run's context. Cumulative
-    /// when the caller shares one oracle across several runs.
-    pub oracle_hits: usize,
-    /// Support-oracle memo misses (evaluations actually performed).
-    pub oracle_misses: usize,
     /// Wall-clock time of Stage I (spider mining).
     pub stage_one_time: Duration,
     /// Wall-clock time of Stage II (identification).

@@ -12,7 +12,7 @@ use crate::result::{MinedPattern, MiningStats};
 use spidermine_graph::graph::LabeledGraph;
 use spidermine_graph::transaction::GraphDatabase;
 use spidermine_mining::context::{MineContext, StreamedPattern};
-use spidermine_mining::eval::PatternMemo;
+use spidermine_mining::pattern_index::PatternIndex;
 
 /// One pattern mined from a transaction database.
 #[derive(Clone, Debug)]
@@ -101,13 +101,26 @@ impl TransactionMiner {
         // Transaction support is a pure function of the isomorphism class, so
         // memoizing it per canonical pattern is exact: isomorphic candidates
         // cost one subgraph-isomorphism sweep over the database, not one each.
-        let mut memo = PatternMemo::new();
+        // `supports[id]` is the support of the class `classes` calls `id`.
+        let mut classes = PatternIndex::new();
+        let mut supports: Vec<usize> = Vec::new();
         let mut patterns: Vec<TransactionPattern> = inner
             .patterns
             .iter()
-            .map(|p: &MinedPattern| TransactionPattern {
-                pattern: p.pattern.clone(),
-                transaction_support: memo.get_or_insert_with(&p.pattern, || db.support(&p.pattern)),
+            .map(|p: &MinedPattern| {
+                let transaction_support = match classes.find(&p.pattern) {
+                    Some(id) => supports[id],
+                    None => {
+                        let support = db.support(&p.pattern);
+                        classes.insert(p.pattern.clone());
+                        supports.push(support);
+                        support
+                    }
+                };
+                TransactionPattern {
+                    pattern: p.pattern.clone(),
+                    transaction_support,
+                }
             })
             .filter(|p| p.transaction_support >= self.config.support_threshold)
             .collect();

@@ -11,8 +11,8 @@
 //!   callers resolve once and cache; updates are single relaxed atomic
 //!   operations, and a [`Registry::snapshot`](registry::Registry::snapshot)
 //!   reads everything without stopping writers. Metrics are *always on*:
-//!   they replace the ad-hoc atomics that the service, cache, and support
-//!   oracle previously maintained, at identical cost.
+//!   they replace the ad-hoc atomics that the service and cache previously
+//!   maintained, at identical cost.
 //!
 //! * **[`trace`]** — structured span events (start/end/parent) keyed by a
 //!   per-job trace id minted at admission and propagated through scheduler
@@ -85,8 +85,8 @@ pub fn now_nanos() -> u64 {
 }
 
 /// The process-global registry, used for cross-cutting metrics that are not
-/// owned by a particular service instance (graph snapshot I/O, the support
-/// oracle, wire-level counters). Service-scoped metrics live in the
+/// owned by a particular service instance (graph snapshot I/O, wire-level
+/// counters). Service-scoped metrics live in the
 /// service's own [`Registry`] so concurrent services do not pollute each
 /// other's numbers.
 pub fn global() -> &'static Registry {

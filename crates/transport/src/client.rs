@@ -447,7 +447,7 @@ impl MiningClient {
 
     /// Fetches the server's telemetry registries as Prometheus text
     /// exposition: jobs, cache, per-client, latency histograms with
-    /// p50/p95/p99 quantiles, graph I/O and oracle aggregates.
+    /// p50/p95/p99 quantiles and graph I/O aggregates.
     pub fn metrics_text(&self) -> Result<String, TransportError> {
         let (id, events) = self.inner.register();
         let result = (|| {

@@ -517,7 +517,7 @@ fn serve_connection(
             }
             Frame::MetricsRequest { id } => {
                 // Both registries: the service's own cells (jobs, cache,
-                // per-client) and the process-global ones (graph I/O, oracle).
+                // per-client) and the process-global ones (graph I/O).
                 let text = telemetry::prometheus_text(&[
                     shared.service.registry().snapshot(),
                     telemetry::global().snapshot(),

@@ -25,9 +25,10 @@
 //! * `--edges FILE`  — mine a graph in the gSpan-style `v`/`e` text format
 //!   (`t` records make it a transaction database) instead of the synthetic
 //!   default
-//! * `--load-graph FILE` — mine a binary CSR snapshot (`io::save_snapshot`
-//!   format) instead of the synthetic default; mutually exclusive with
-//!   `--edges`, single-graph algorithms only
+//! * `--load-graph FILE` — mine a binary CSR snapshot (the `io::save_snapshot`
+//!   format, memory-mapped on load; files in the retired version-1 format
+//!   are rejected as unsupported) instead of the synthetic default; mutually
+//!   exclusive with `--edges`, single-graph algorithms only
 //! * `--save-graph FILE` — persist the mined host graph as a binary CSR
 //!   snapshot before mining (works with `--edges` and the synthetic default)
 //! * `--serve-demo`  — run the service-layer batch driver instead of one
@@ -629,8 +630,8 @@ fn run() -> Result<(), String> {
     }
     let result = dispatch(&cli);
     if cli.metrics && cli.connect.is_none() && cli.serve.is_none() && !cli.serve_demo {
-        // Local mine: only the process-global registry (engine, graph I/O,
-        // oracle) has cells; service modes print their registry themselves.
+        // Local mine: only the process-global registry (engine, graph I/O)
+        // has cells; service modes print their registry themselves.
         println!("\n# --metrics: telemetry registries (Prometheus text)");
         print!(
             "{}",
@@ -695,7 +696,7 @@ fn dispatch(cli: &Cli) -> Result<(), String> {
         ),
         (None, false) => match &cli.load_graph {
             Some(path) => (
-                Some(io::load_snapshot(path).map_err(|e| e.to_string())?),
+                Some(io::load_snapshot(path, io::LoadMode::Mapped).map_err(|e| e.to_string())?),
                 None,
             ),
             None => (Some(synthetic_graph(cli.seed)), None),

@@ -14,9 +14,9 @@ use spidermine_baselines::{moss, origami, seus, subdue};
 use spidermine_baselines::{MossConfig, OrigamiConfig, SeusConfig, SubdueConfig};
 use spidermine_engine::wire::encode_pattern;
 use spidermine_engine::{
-    Algorithm, CancelToken, GraphSource, MemoOracle, MineContext, MineError, MineOutcome,
-    MineRequest, Miner, MossEngine, OrigamiEngine, OwnedGraphSource, PatternStream, ProgressEvent,
-    SeusEngine, SpiderMineEngine, SubdueEngine, SupportMeasure, SupportOracle, TransactionEngine,
+    Algorithm, CancelToken, GraphSource, MineContext, MineError, MineOutcome, MineRequest, Miner,
+    MossEngine, OrigamiEngine, OwnedGraphSource, PatternStream, ProgressEvent, SeusEngine,
+    SpiderMineEngine, SubdueEngine, TransactionEngine,
 };
 use spidermine_graph::{generate, GraphDatabase, LabeledGraph};
 use std::cmp::Reverse;
@@ -485,48 +485,6 @@ fn cancellation_mid_stage_two_yields_partial_outcome() {
         .expect("full run");
     assert!(!full.cancelled);
     assert!(outcome.patterns.len() <= full.patterns.len());
-}
-
-/// ISSUE-3: the eval layer's `SupportOracle` memoizes per canonical pattern
-/// through the `MineContext`, so a context reused across runs answers the
-/// second run's pattern-level support queries from the memo — and the
-/// memoized answers reproduce the first run's outcome exactly.
-#[test]
-fn support_oracle_memoizes_across_runs_through_the_context() {
-    let host = planted_graph(71);
-    let engine = MineRequest::new(Algorithm::SpiderMine)
-        .support_threshold(2)
-        .k(4)
-        .d_max(6)
-        .seed(31)
-        .build()
-        .expect("valid request");
-    let oracle = Arc::new(MemoOracle::new(SupportMeasure::MinimumImage));
-    let mut ctx = MineContext::new().with_support_oracle(oracle.clone());
-    let first = engine
-        .mine(&GraphSource::Single(&host), &mut ctx)
-        .expect("first run");
-    let after_first = oracle.stats();
-    assert!(after_first.misses > 0, "the first run evaluates supports");
-    let second = engine
-        .mine(&GraphSource::Single(&host), &mut ctx)
-        .expect("second run");
-    let after_second = oracle.stats();
-    assert!(
-        after_second.hits > after_first.hits,
-        "the second run answers from the shared memo (hits {} -> {})",
-        after_first.hits,
-        after_second.hits
-    );
-    // Memoized supports are the first run's values, so the outcomes agree.
-    let key = |o: &spidermine_engine::MineOutcome| -> Vec<_> {
-        o.patterns
-            .iter()
-            .map(|p| (graph_key(&p.pattern), p.support))
-            .collect()
-    };
-    assert_eq!(key(&first), key(&second));
-    assert_eq!(first.dropped_embeddings, 0);
 }
 
 #[test]

@@ -252,10 +252,11 @@ proptest! {
     // modest so the suite stays fast.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Loading a graph through any snapshot path — v1 eager, v2 eager from
-    /// bytes, v2 buffered-read, v2 memory-mapped — yields byte-identical
-    /// mining outcomes for all six algorithms. This is the contract that
-    /// makes the mmap-backed zero-copy path a pure optimisation.
+    /// Loading a graph through any snapshot path — eager from in-memory
+    /// bytes, eager from a file, buffered-read, memory-mapped — yields
+    /// byte-identical mining outcomes for all six algorithms. This is the
+    /// contract that makes the mmap-backed zero-copy path a pure
+    /// optimisation.
     #[test]
     fn snapshot_load_paths_are_mining_equivalent(g in arbitrary_graph(14, 4)) {
         use spidermine_engine::wire::encode_outcome_semantic;
@@ -270,16 +271,14 @@ proptest! {
             CASE.fetch_add(1, Ordering::Relaxed)
         ));
         std::fs::create_dir_all(&dir).expect("temp dir");
-        let v1 = dir.join("g.snap1");
-        let v2 = dir.join("g.snap2");
-        io::save_snapshot(&v1, &g).expect("save v1");
-        io::save_snapshot_v2(&v2, &g).expect("save v2");
+        let path = dir.join("g.snap");
+        io::save_snapshot(&path, &g).expect("save");
 
         let loads: Vec<(&str, LabeledGraph)> = vec![
-            ("v1-eager", io::load_snapshot(&v1).expect("v1 load")),
-            ("v2-eager", io::load_snapshot_v2(&v2, io::LoadMode::Eager).expect("v2 eager")),
-            ("v2-buffered", io::load_snapshot_v2(&v2, io::LoadMode::Buffered).expect("v2 buffered")),
-            ("v2-mapped", io::load_snapshot_v2(&v2, io::LoadMode::Mapped).expect("v2 mapped")),
+            ("bytes", io::graph_from_snapshot(&io::snapshot_bytes(&g)).expect("decode")),
+            ("eager", io::load_snapshot(&path, io::LoadMode::Eager).expect("eager")),
+            ("buffered", io::load_snapshot(&path, io::LoadMode::Buffered).expect("buffered")),
+            ("mapped", io::load_snapshot(&path, io::LoadMode::Mapped).expect("mapped")),
         ];
         for algo in Algorithm::all() {
             let mut reference: Option<Vec<u8>> = None;

@@ -6,7 +6,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use spidermine_engine::{Algorithm, GraphSource, MineContext, MineOutcome, MineRequest, Miner};
 use spidermine_graph::{generate, io, LabeledGraph};
-use spidermine_service::{JobStatus, MiningService, ServiceConfig, ServiceError};
+use spidermine_service::{GraphCatalog, JobStatus, MiningService, ServiceConfig, ServiceError};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -58,31 +58,60 @@ fn outcome_bytes(o: &MineOutcome) -> Vec<u8> {
     s.into_bytes()
 }
 
+fn temp_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("spidermine-svc-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir
+}
+
+const LOAD_MODES: [io::LoadMode; 3] = [
+    io::LoadMode::Mapped,
+    io::LoadMode::Buffered,
+    io::LoadMode::Eager,
+];
+
 #[test]
 fn snapshot_roundtrip_through_files_is_byte_identical() {
     let g = host_graph(5);
     let bytes = io::snapshot_bytes(&g);
-    let dir = std::env::temp_dir().join(format!("spidermine-svc-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
+    let dir = temp_dir("roundtrip");
     let path = dir.join("host.snap");
     io::save_snapshot(&path, &g).expect("save");
-    let back = io::load_snapshot(&path).expect("load");
-    // Saved → loaded → re-saved: identical bytes, stable fingerprint.
-    assert_eq!(io::snapshot_bytes(&back), bytes);
-    io::save_snapshot(&path, &back).expect("re-save");
-    assert_eq!(std::fs::read(&path).expect("read back"), bytes);
     assert_eq!(
-        io::snapshot_fingerprint(&bytes).expect("header"),
-        spidermine_graph::signature::graph_fingerprint(&back),
+        io::probe_snapshot(&path).expect("probe").fingerprint,
+        spidermine_graph::signature::graph_fingerprint(&g),
     );
+    for mode in LOAD_MODES {
+        let back = io::load_snapshot(&path, mode).expect("load");
+        // Saved → loaded → re-saved: identical bytes, stable fingerprint.
+        assert_eq!(io::snapshot_bytes(&back), bytes, "{mode:?}");
+        io::save_snapshot(&path, &back).expect("re-save");
+        assert_eq!(std::fs::read(&path).expect("read back"), bytes, "{mode:?}");
+        assert_eq!(
+            spidermine_graph::signature::graph_fingerprint(&back),
+            spidermine_graph::signature::graph_fingerprint(&g),
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn corrupted_snapshots_fail_typed_never_panic() {
-    let bytes = io::snapshot_bytes(&small_graph(9));
-    // Truncations at every section boundary and a sweep of interior cuts.
-    for len in [0, 4, 8, 12, 20, 27, 28, 40, bytes.len() - 1] {
+    let g = small_graph(9);
+    let bytes = io::snapshot_bytes(&g);
+    let dir = temp_dir("corrupt");
+    let path = dir.join("g.snap");
+    std::fs::write(&path, &bytes).expect("write");
+    let info = io::probe_snapshot(&path).expect("probe");
+    std::fs::remove_dir_all(&dir).ok();
+    // Truncations inside the header, at every section boundary and one byte
+    // short of the end.
+    let mut cuts = vec![0, 4, 8, 12, 20, 27, 28, 40, io::SNAPSHOT_HEADER_LEN - 1];
+    for s in &info.sections {
+        cuts.extend([s.offset as usize, (s.offset + s.len) as usize - 1]);
+    }
+    cuts.push(bytes.len() - 1);
+    for len in cuts {
         let err = io::graph_from_snapshot(&bytes[..len.min(bytes.len())])
             .expect_err("truncated snapshot decoded");
         assert!(
@@ -93,8 +122,14 @@ fn corrupted_snapshots_fail_typed_never_panic() {
             "unexpected error for prefix {len}: {err:?}"
         );
     }
-    // Bit flips across the whole file: typed errors, no panics.
-    for i in (0..bytes.len()).step_by(7) {
+    // Bit flips across every byte the format accounts for (header, table and
+    // sections; the zero padding between sections carries nothing): typed
+    // errors, no panics.
+    let mut covered: Vec<usize> = (0..io::SNAPSHOT_HEADER_LEN).collect();
+    for s in &info.sections {
+        covered.extend(s.offset as usize..(s.offset + s.len) as usize);
+    }
+    for i in covered.into_iter().step_by(7) {
         let mut corrupt = bytes.clone();
         corrupt[i] ^= 0x01;
         assert!(
@@ -102,6 +137,70 @@ fn corrupted_snapshots_fail_typed_never_panic() {
             "bit flip at byte {i} decoded"
         );
     }
+}
+
+/// Snapshot format version 1 is retired: a file with a valid magic and
+/// version 1 is a typed `UnsupportedVersion(1)` on every path that opens a
+/// snapshot, whatever follows the version field.
+#[test]
+fn version_one_snapshots_are_typed_unsupported_everywhere() {
+    let dir = temp_dir("v1");
+    // A version-1 header (magic, version, payload checksum, fingerprint)
+    // followed by an empty graph's payload, and a current-format file with
+    // only its version field rewritten: short or long, the version decides.
+    let mut short = b"SPDRSNAP".to_vec();
+    short.extend(1u32.to_le_bytes());
+    short.extend([0u8; 16 + 12]);
+    let mut long = io::snapshot_bytes(&small_graph(4));
+    long[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let unsupported = io::SnapshotError::UnsupportedVersion(1);
+    for (tag, bytes) in [("short", short), ("long", long)] {
+        let path = dir.join(format!("{tag}.snap"));
+        std::fs::write(&path, &bytes).expect("write");
+        assert_eq!(
+            io::probe_snapshot(&path).err(),
+            Some(unsupported.clone()),
+            "{tag}"
+        );
+        assert_eq!(
+            io::graph_from_snapshot(&bytes).err(),
+            Some(unsupported.clone()),
+            "{tag}"
+        );
+        for mode in LOAD_MODES {
+            assert_eq!(
+                io::load_snapshot(&path, mode).err(),
+                Some(unsupported.clone()),
+                "{tag} {mode:?}"
+            );
+        }
+        let catalog = GraphCatalog::new();
+        match catalog.register_snapshot_file("g", &path, io::LoadMode::Mapped) {
+            Err(ServiceError::Snapshot(e)) => assert_eq!(e, unsupported, "{tag}"),
+            other => panic!("{tag}: register_snapshot_file gave {other:?}"),
+        }
+        assert!(catalog.is_empty(), "{tag}: rejected file left an entry");
+        match catalog.load("g", &path) {
+            Err(ServiceError::Snapshot(e)) => assert_eq!(e, unsupported, "{tag}"),
+            other => panic!("{tag}: load gave {other:?}"),
+        }
+
+        // A manifest pointing at the version-1 file.
+        let manifest_dir = dir.join(format!("catalog-{tag}"));
+        std::fs::create_dir_all(&manifest_dir).expect("catalog dir");
+        std::fs::write(manifest_dir.join("g.snap"), &bytes).expect("write");
+        std::fs::write(
+            manifest_dir.join(spidermine_service::MANIFEST_FILE),
+            format!("{:016x} g.snap g\n", 0u64),
+        )
+        .expect("manifest");
+        match catalog.restore(&manifest_dir) {
+            Err(ServiceError::Snapshot(e)) => assert_eq!(e, unsupported, "{tag}"),
+            other => panic!("{tag}: restore gave {other:?}"),
+        }
+        assert!(catalog.is_empty(), "{tag}: failed restore left an entry");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

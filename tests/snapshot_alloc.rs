@@ -44,10 +44,10 @@ const REFREEZE_FLOOR: usize = 4 * (VERTICES + 1);
 fn snapshot_path() -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("spidermine-alloc-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("host.snap2");
+    let path = dir.join("host.snap");
     if !path.exists() {
         let (graph, _) = synthetic::scalability_graph(VERTICES, 42);
-        io::save_snapshot_v2(&path, &graph).expect("save");
+        io::save_snapshot(&path, &graph).expect("save");
     }
     path
 }
@@ -69,7 +69,7 @@ fn min_bytes_allocated(mut f: impl FnMut()) -> usize {
 fn csr_access_on_a_loaded_graph_allocates_nothing() {
     let path = snapshot_path();
     for mode in [LoadMode::Buffered, LoadMode::Mapped] {
-        let graph = io::load_snapshot_v2(&path, mode).expect("load");
+        let graph = io::load_snapshot(&path, mode).expect("load");
         // Pattern injection grows the generator's graph slightly past
         // VERTICES; compare against the graph itself.
         let n = graph.vertex_count();
@@ -92,25 +92,28 @@ fn catalog_registration_does_not_refreeze_loaded_graphs() {
     // Warm-up: the map's first insert may allocate its table.
     catalog.register(
         "warmup",
-        io::load_snapshot_v2(&path, LoadMode::Buffered).expect("load"),
+        io::load_snapshot(&path, LoadMode::Buffered).expect("load"),
     );
+    // Load outside the measured windows (one graph per attempt of
+    // `min_bytes_allocated`), so only register() is charged. A re-freeze
+    // would allocate at least the floor in every window; the other tests'
+    // allocations, which can land in any single window, cannot reach all of
+    // them.
+    let mut graphs: Vec<_> = (0..5)
+        .map(|_| io::load_snapshot(&path, LoadMode::Mapped).expect("load"))
+        .collect();
     let mut i = 0;
-    let bytes = min_bytes_allocated(|| {
-        let graph = io::load_snapshot_v2(&path, LoadMode::Mapped).expect("load");
-        let before = BYTES_ALLOCATED.load(Ordering::SeqCst);
+    let registered = min_bytes_allocated(|| {
+        let graph = graphs.pop().expect("one graph per attempt");
         let snapshot = catalog.register(format!("g{i}"), graph);
-        let registered = BYTES_ALLOCATED.load(Ordering::SeqCst) - before;
         assert!(snapshot.is_loaded());
         i += 1;
-        // Only charge the register() window; the load above is the setup.
-        assert!(
-            registered < REFREEZE_FLOOR,
-            "registering a snapshot-loaded graph allocated {registered} bytes \
-             (>= the {REFREEZE_FLOOR}-byte re-freeze floor)"
-        );
     });
-    // `bytes` includes the load itself; the assertion above is the contract.
-    let _ = bytes;
+    assert!(
+        registered < REFREEZE_FLOOR,
+        "registering a snapshot-loaded graph allocated {registered} bytes \
+         (>= the {REFREEZE_FLOOR}-byte re-freeze floor)"
+    );
 }
 
 #[test]
@@ -119,7 +122,7 @@ fn lazy_label_index_is_the_only_deferred_section() {
     // (decode bookkeeping), but must not re-derive the CSR arrays first:
     // vertices_with_label on the packed index goes straight to the mapping.
     let path = snapshot_path();
-    let graph = io::load_snapshot_v2(&path, LoadMode::Mapped).expect("load");
+    let graph = io::load_snapshot(&path, LoadMode::Mapped).expect("load");
     let csr = graph.csr();
     // First touch decodes the packed section.
     let label = graph.label(spidermine_graph::VertexId(0));

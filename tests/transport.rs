@@ -3,7 +3,7 @@
 //! down), typed edge admission (quotas, caps, unknown graphs as wire
 //! rejections — not closed sockets), and the acceptance scenario: many
 //! concurrent wire clients whose outcomes are byte-identical to fresh
-//! in-process engine runs, with duplicates cache-served and a mid-stream
+//! in-process engine runs, with duplicates cache-served and a mid-job
 //! disconnect observably cancelling its job.
 
 use rand::SeedableRng;
@@ -21,19 +21,10 @@ use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A host big enough that SpiderMine takes real time — a mid-stream
-/// disconnect lands while the run is still mining.
-fn slow_graph(seed: u64) -> LabeledGraph {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut g = generate::erdos_renyi_average_degree(&mut rng, 400, 2.0, 30);
-    let pattern = generate::random_connected_pattern(&mut rng, 10, 30, 3);
-    generate::inject_pattern(&mut rng, &mut g, &pattern, 3, 2);
-    g
-}
-
-/// A much bigger host for the admission test: its jobs must still be
-/// running while quota and queue rejections are provoked (they are
-/// cancelled afterwards, so the extra size costs little wall-clock).
+/// A host big enough that a SpiderMine job on it has seconds of work left
+/// while the admission test provokes quota and queue rejections, and while
+/// the disconnect test's client vanishes (the jobs are cancelled, so the
+/// size costs little wall-clock).
 fn very_slow_graph(seed: u64) -> LabeledGraph {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut g = generate::erdos_renyi_average_degree(&mut rng, 1500, 2.0, 30);
@@ -229,6 +220,12 @@ fn admission_rejections_are_typed_not_closed_sockets() {
     // Fill the per-client quota with two slow jobs (distinct seeds so the
     // second doesn't park behind the first as a duplicate)...
     let job_a = client.submit("slow", &request()).expect("first in-flight");
+    // With one dispatcher and a queue of depth 1, `job_b` only fits once the
+    // dispatcher has taken `job_a` off the queue: wait for that.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while service.metrics().queue_depth != 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
     let job_b = client
         .submit("slow", &request().seed(12))
         .expect("second in-flight");
@@ -293,7 +290,7 @@ fn concurrent_clients_match_in_process_runs_and_disconnect_cancels() {
     }));
     service.catalog().register("gid-a", small_graph(1));
     service.catalog().register("gid-b", small_graph(2));
-    service.catalog().register("gid-slow", slow_graph(7));
+    service.catalog().register("gid-slow", very_slow_graph(7));
     let (_server, addr) = serve(&service, TransportConfig::default());
 
     // Ground truth: fresh in-process engine runs, canonically serialized.
@@ -309,12 +306,12 @@ fn concurrent_clients_match_in_process_runs_and_disconnect_cancels() {
         })
         .collect();
 
-    // One client disconnects mid-stream: submit against the slow graph,
-    // take the first streamed pattern, and vanish without waiting.
+    // One client disconnects mid-job: submit against the slow graph and
+    // vanish as soon as the job is accepted, while it has seconds of work
+    // left.
     let disco = std::thread::spawn(move || {
         let client = MiningClient::connect(addr, "disco").expect("connect");
-        let mut job = client.submit("gid-slow", &request()).expect("submit");
-        let _first = job.next();
+        let _job = client.submit("gid-slow", &request()).expect("submit");
         // Dropping the job and client shuts the socket down mid-job; the
         // server must fire the job's cancel token.
     });
