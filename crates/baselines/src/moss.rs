@@ -95,19 +95,11 @@ impl MossResult {
     }
 }
 
-/// Runs the complete miner on a single graph.
-///
-/// Thin shim over [`run_with`]; new code should go through the unified
-/// engine API (`spidermine-engine`).
-pub fn run(host: &LabeledGraph, config: &MossConfig) -> MossResult {
-    run_with(host, config, &mut MineContext::new())
-}
-
-/// [`run`] with an execution context: every frequent pattern streams through
-/// the context's sink the moment it is accepted (this miner's exploration is
-/// naturally incremental), and the cancel token is polled once per queue pop
-/// — a fired token marks the run incomplete and returns the patterns found so
-/// far.
+/// Runs the complete miner on a single graph under an execution context:
+/// every frequent pattern streams through the context's sink the moment it is
+/// accepted (this miner's exploration is naturally incremental), and the
+/// cancel token is polled once per queue pop — a fired token marks the run
+/// incomplete and returns the patterns found so far.
 pub fn run_with(host: &LabeledGraph, config: &MossConfig, ctx: &mut MineContext) -> MossResult {
     let start = Instant::now();
     let mut result = MossResult {
@@ -208,7 +200,11 @@ mod tests {
 
     #[test]
     fn finds_the_complete_pattern_set_of_two_triangles() {
-        let result = run(&two_triangles(), &MossConfig::default());
+        let result = run_with(
+            &two_triangles(),
+            &MossConfig::default(),
+            &mut MineContext::new(),
+        );
         assert!(result.completed);
         // Frequent patterns (support 2): 3 single edges, 3 two-edge paths,
         // 1 triangle = 7 patterns.
@@ -227,12 +223,13 @@ mod tests {
 
     #[test]
     fn support_threshold_prunes_everything_when_too_high() {
-        let result = run(
+        let result = run_with(
             &two_triangles(),
             &MossConfig {
                 support_threshold: 3,
                 ..MossConfig::default()
             },
+            &mut MineContext::new(),
         );
         assert!(result.patterns.is_empty());
         assert!(result.completed);
@@ -251,24 +248,26 @@ mod tests {
                 }
             }
         }
-        let result = run(
+        let result = run_with(
             &g,
             &MossConfig {
                 time_budget: Duration::from_millis(0),
                 ..MossConfig::default()
             },
+            &mut MineContext::new(),
         );
         assert!(!result.completed);
     }
 
     #[test]
     fn max_edges_bounds_pattern_size() {
-        let result = run(
+        let result = run_with(
             &two_triangles(),
             &MossConfig {
                 max_edges: 1,
                 ..MossConfig::default()
             },
+            &mut MineContext::new(),
         );
         assert!(result.patterns.iter().all(|p| p.pattern.edge_count() <= 2));
         assert!(!result.completed, "cut off by max_edges");
@@ -276,7 +275,11 @@ mod tests {
 
     #[test]
     fn histogram_reports_sizes() {
-        let result = run(&two_triangles(), &MossConfig::default());
+        let result = run_with(
+            &two_triangles(),
+            &MossConfig::default(),
+            &mut MineContext::new(),
+        );
         let hist = result.size_histogram_vertices();
         assert_eq!(hist.get(&2), Some(&3));
         assert_eq!(hist.get(&3), Some(&4));

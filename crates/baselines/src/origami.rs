@@ -228,18 +228,11 @@ fn random_maximal_walk(
     Some(OrigamiPattern { pattern, support })
 }
 
-/// Runs ORIGAMI on a transaction database.
-///
-/// Thin shim over [`run_with`]; new code should go through the unified
-/// engine API (`spidermine-engine`).
-pub fn run(db: &GraphDatabase, config: &OrigamiConfig) -> OrigamiResult {
-    run_with(db, config, &mut MineContext::new())
-}
-
-/// [`run`] with an execution context: the cancel token is polled once per
-/// random maximal walk (a fired token proceeds straight to representative
-/// selection over the patterns sampled so far), and the selected
-/// representatives stream through the context's sink before returning.
+/// Runs ORIGAMI on a transaction database under an execution context: the
+/// cancel token is polled once per random maximal walk (a fired token
+/// proceeds straight to representative selection over the patterns sampled so
+/// far), and the selected representatives stream through the context's sink
+/// before returning.
 pub fn run_with(
     db: &GraphDatabase,
     config: &OrigamiConfig,
@@ -328,7 +321,7 @@ mod tests {
     #[test]
     fn finds_the_shared_maximal_pattern() {
         let db = db_with_shared_path();
-        let result = run(&db, &config());
+        let result = run_with(&db, &config(), &mut MineContext::new());
         assert!(!result.patterns.is_empty());
         // The largest representative is the shared 0-1-2 path (3 vertices):
         // the noise vertices differ per transaction so they are not frequent.
@@ -340,7 +333,7 @@ mod tests {
     #[test]
     fn walks_stop_at_maximality() {
         let db = db_with_shared_path();
-        let result = run(&db, &config());
+        let result = run_with(&db, &config(), &mut MineContext::new());
         for p in &result.patterns {
             assert!(p.pattern.vertex_count() <= 3, "nothing larger is frequent");
         }
@@ -349,12 +342,13 @@ mod tests {
     #[test]
     fn orthogonal_selection_removes_near_duplicates() {
         let db = db_with_shared_path();
-        let result = run(
+        let result = run_with(
             &db,
             &OrigamiConfig {
                 alpha: 0.0,
                 ..config()
             },
+            &mut MineContext::new(),
         );
         // With alpha = 0 every pair of selected patterns must share no edge
         // label pair at all.
@@ -375,7 +369,11 @@ mod tests {
 
     #[test]
     fn empty_database_returns_empty_result() {
-        let result = run(&GraphDatabase::default(), &config());
+        let result = run_with(
+            &GraphDatabase::default(),
+            &config(),
+            &mut MineContext::new(),
+        );
         assert!(result.patterns.is_empty());
         assert_eq!(result.sampled_maximal, 0);
     }
@@ -383,7 +381,7 @@ mod tests {
     #[test]
     fn support_threshold_is_respected() {
         let db = db_with_shared_path();
-        let result = run(&db, &config());
+        let result = run_with(&db, &config(), &mut MineContext::new());
         for p in &result.patterns {
             assert!(p.support >= 3);
         }

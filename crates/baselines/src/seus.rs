@@ -97,18 +97,10 @@ fn build_summary(host: &LabeledGraph) -> Summary {
     Summary { labels, weights }
 }
 
-/// Runs the SEuS baseline on a single graph.
-///
-/// Thin shim over [`run_with`]; new code should go through the unified
-/// engine API (`spidermine-engine`).
-pub fn run(host: &LabeledGraph, config: &SeusConfig) -> SeusResult {
-    run_with(host, config, &mut MineContext::new())
-}
-
-/// [`run`] with an execution context: the cancel token is polled in both the
-/// candidate-generation and verification loops (a fired token returns the
-/// patterns verified so far), and the verified patterns stream through the
-/// context's sink before returning.
+/// Runs the SEuS baseline on a single graph under an execution context: the
+/// cancel token is polled in both the candidate-generation and verification
+/// loops (a fired token returns the patterns verified so far), and the
+/// verified patterns stream through the context's sink before returning.
 pub fn run_with(host: &LabeledGraph, config: &SeusConfig, ctx: &mut MineContext) -> SeusResult {
     let start = Instant::now();
     let mut result = SeusResult::default();
@@ -246,7 +238,7 @@ mod tests {
 
     #[test]
     fn finds_frequent_small_patterns() {
-        let result = run(&host(), &SeusConfig::default());
+        let result = run_with(&host(), &SeusConfig::default(), &mut MineContext::new());
         assert!(!result.patterns.is_empty());
         // The 0-1 edge must be found with support 10.
         let edge01 = result
@@ -264,7 +256,7 @@ mod tests {
 
     #[test]
     fn candidates_never_repeat_a_label() {
-        let result = run(&host(), &SeusConfig::default());
+        let result = run_with(&host(), &SeusConfig::default(), &mut MineContext::new());
         for p in &result.patterns {
             assert_eq!(
                 p.pattern.distinct_label_count(),
@@ -276,12 +268,13 @@ mod tests {
 
     #[test]
     fn support_threshold_is_enforced() {
-        let result = run(
+        let result = run_with(
             &host(),
             &SeusConfig {
                 support_threshold: 3,
                 ..SeusConfig::default()
             },
+            &mut MineContext::new(),
         );
         assert!(result.patterns.iter().all(|p| p.support >= 3));
         assert!(!result
@@ -292,12 +285,13 @@ mod tests {
 
     #[test]
     fn max_vertices_bounds_pattern_size() {
-        let result = run(
+        let result = run_with(
             &host(),
             &SeusConfig {
                 max_vertices: 2,
                 ..SeusConfig::default()
             },
+            &mut MineContext::new(),
         );
         assert!(result
             .patterns

@@ -111,18 +111,10 @@ fn compression_value(
     dl_g / (dl_s + dl_rest).max(1e-9)
 }
 
-/// Runs the SUBDUE baseline on a single graph.
-///
-/// Thin shim over [`run_with`]; new code should go through the unified
-/// engine API (`spidermine-engine`).
-pub fn run(host: &LabeledGraph, config: &SubdueConfig) -> SubdueResult {
-    run_with(host, config, &mut MineContext::new())
-}
-
-/// [`run`] with an execution context: the cancel token is polled once per
-/// beam level (a fired token ends the search with the substructures collected
-/// so far), and the reported substructures stream through the context's sink
-/// before returning.
+/// Runs the SUBDUE baseline on a single graph under an execution context: the
+/// cancel token is polled once per beam level (a fired token ends the search
+/// with the substructures collected so far), and the reported substructures
+/// stream through the context's sink before returning.
 pub fn run_with(host: &LabeledGraph, config: &SubdueConfig, ctx: &mut MineContext) -> SubdueResult {
     let start = Instant::now();
     let label_count = host.distinct_label_count();
@@ -263,7 +255,7 @@ mod tests {
             let b = host.add_vertex(Label(1));
             host.add_edge(a, b);
         }
-        let result = run(&host, &SubdueConfig::default());
+        let result = run_with(&host, &SubdueConfig::default(), &mut MineContext::new());
         assert!(!result.patterns.is_empty());
         let top = &result.patterns[0];
         assert_eq!(top.pattern.edge_count(), 1);
@@ -279,12 +271,13 @@ mod tests {
         let mut host = generate::erdos_renyi_average_degree(&mut rng, 150, 2.0, 4);
         let big = generate::random_connected_pattern(&mut rng, 15, 4, 3);
         generate::inject_pattern(&mut rng, &mut host, &big, 2, 2);
-        let result = run(
+        let result = run_with(
             &host,
             &SubdueConfig {
                 max_edges: 20,
                 ..SubdueConfig::default()
             },
+            &mut MineContext::new(),
         );
         assert!(!result.patterns.is_empty());
         assert!(
@@ -297,13 +290,14 @@ mod tests {
     fn time_budget_is_respected() {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let host = generate::erdos_renyi_average_degree(&mut rng, 400, 4.0, 3);
-        let result = run(
+        let result = run_with(
             &host,
             &SubdueConfig {
                 time_budget: Duration::from_millis(50),
                 max_edges: 1000,
                 ..SubdueConfig::default()
             },
+            &mut MineContext::new(),
         );
         // Either it finished quickly or it noticed the timeout; both are fine,
         // but the run must not take unboundedly long.
@@ -318,12 +312,13 @@ mod tests {
             let b = host.add_vertex(Label((i + 1) % 3));
             host.add_edge(a, b);
         }
-        let result = run(
+        let result = run_with(
             &host,
             &SubdueConfig {
                 report: 2,
                 ..SubdueConfig::default()
             },
+            &mut MineContext::new(),
         );
         assert!(result.patterns.len() <= 2);
     }

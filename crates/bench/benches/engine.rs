@@ -1,6 +1,6 @@
 //! Engine-redesign benchmarks: catalog construction before/after the
 //! `PatternStore`-style arena (ISSUE 2's headline number), plus an
-//! end-to-end run through the unified `Miner` API.
+//! end-to-end run through the unified engine API (`MineRequest` → `Engine`).
 //!
 //! PR 1 flagged catalog construction as allocation-bound: every mined spider
 //! owned a leaf-label `Vec` and a head `Vec`. The `pr1` module below retains
@@ -12,7 +12,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use spidermine_bench::bench_ba_graph;
-use spidermine_engine::{Algorithm, GraphSource, MineContext, MineRequest, Miner};
+use spidermine_engine::{Algorithm, GraphSource, MineContext, MineRequest};
 use spidermine_mining::spider::{SpiderCatalog, SpiderMiningConfig};
 
 /// The PR 1 catalog implementation: identical enumeration over the CSR

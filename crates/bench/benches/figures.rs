@@ -11,6 +11,7 @@ use spidermine_datasets::synthetic::{
     scalability_graph, scalefree_graph, GidConfig, SyntheticDataset,
 };
 use spidermine_datasets::transactions::{TransactionConfig, TransactionDataset};
+use spidermine_engine::MineContext;
 
 fn figure_workloads(c: &mut Criterion) {
     let mut group = c.benchmark_group("figures");
@@ -26,16 +27,20 @@ fn figure_workloads(c: &mut Criterion) {
                 d_max: 4,
                 ..SpiderMineConfig::default()
             })
-            .mine(&gid1.graph)
+            .mine_with(&gid1.graph, &mut MineContext::new())
             .patterns
             .len()
         })
     });
     group.bench_function("fig04_gid1_subdue", |b| {
         b.iter(|| {
-            subdue::run(&gid1.graph, &subdue::SubdueConfig::default())
-                .patterns
-                .len()
+            subdue::run_with(
+                &gid1.graph,
+                &subdue::SubdueConfig::default(),
+                &mut MineContext::new(),
+            )
+            .patterns
+            .len()
         })
     });
 
@@ -49,7 +54,7 @@ fn figure_workloads(c: &mut Criterion) {
                 d_max: 10,
                 ..SpiderMineConfig::default()
             })
-            .mine(&scal_graph)
+            .mine_with(&scal_graph, &mut MineContext::new())
             .largest_vertices()
         })
     });
@@ -65,7 +70,7 @@ fn figure_workloads(c: &mut Criterion) {
                 max_spider_leaves: 6,
                 ..SpiderMineConfig::default()
             })
-            .mine(&sf_graph)
+            .mine_with(&sf_graph, &mut MineContext::new())
             .largest_edges()
         })
     });
@@ -80,20 +85,21 @@ fn figure_workloads(c: &mut Criterion) {
                 d_max: 6,
                 ..SpiderMineConfig::default()
             })
-            .mine(&tx.database)
+            .mine_with(&tx.database, &mut MineContext::new())
             .patterns
             .len()
         })
     });
     group.bench_function("fig14_transaction_origami", |b| {
         b.iter(|| {
-            origami::run(
+            origami::run_with(
                 &tx.database,
                 &origami::OrigamiConfig {
                     support_threshold: 3,
                     samples: 5,
                     ..origami::OrigamiConfig::default()
                 },
+                &mut MineContext::new(),
             )
             .patterns
             .len()

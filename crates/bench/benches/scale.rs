@@ -21,7 +21,7 @@ use spidermine::config::SpiderMineConfig;
 use spidermine::grow::{self, GrownPattern};
 use spidermine::merge;
 use spidermine_bench::bench_ba_graph;
-use spidermine_engine::{Algorithm, GraphSource, MineContext, MineRequest, Miner};
+use spidermine_engine::{Algorithm, GraphSource, MineContext, MineRequest};
 use spidermine_graph::graph::LabeledGraph;
 use spidermine_mining::eval::EmbeddingStore;
 use spidermine_mining::spider::{SpiderCatalog, SpiderMiningConfig};

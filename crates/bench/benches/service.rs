@@ -15,6 +15,8 @@
 //!   iteration), with the derived `service/cache/speedup`.
 //! * `service/jobs/<d>` — draining `d` concurrently submitted distinct
 //!   jobs, with the derived `service/jobs_per_sec/depth_<d>`.
+//! * `service/cores` — the runner's available parallelism, so the rows can
+//!   be compared only with rows from a runner of the same shape.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use spidermine_bench::bench_ba_graph;
@@ -163,6 +165,8 @@ fn service(c: &mut Criterion) {
             );
         }
     }
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    criterion::record_metric("service/cores", cores as f64);
     let m = svc.metrics();
     criterion::record_metric("service/final_cache_hits", m.cache.hits as f64);
     criterion::record_metric("service/final_cache_misses", m.cache.misses as f64);

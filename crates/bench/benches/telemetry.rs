@@ -17,10 +17,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use spidermine_bench::bench_ba_graph;
-use spidermine_engine::{Algorithm, GraphSource, MineContext, MineRequest, Miner};
+use spidermine_engine::{Algorithm, Engine, GraphSource, MineContext, MineRequest};
 use spidermine_telemetry as telemetry;
 
-fn mine_once(miner: &dyn Miner, source: &GraphSource<'_>) -> usize {
+fn mine_once(miner: &Engine, source: &GraphSource<'_>) -> usize {
     let mut ctx = MineContext::new();
     miner
         .mine(source, &mut ctx)

@@ -22,7 +22,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use spidermine_bench::bench_ba_graph;
-use spidermine_engine::{Algorithm, GraphSource, MineContext, MineRequest, Miner};
+use spidermine_engine::{Algorithm, GraphSource, MineContext, MineRequest};
 use spidermine_service::{MiningService, ServiceConfig};
 use spidermine_transport::{MiningClient, MiningServer, TransportConfig};
 use std::sync::{Arc, Mutex};

@@ -1,28 +1,24 @@
-//! The unified mining engine API.
+//! The unified mining engine API: one way to run each of the six mining
+//! algorithms (SpiderMine, its transaction adaptation, SUBDUE, MoSS, ORIGAMI
+//! and SEuS).
 //!
-//! The workspace grew six mining entry points with six incompatible shapes
-//! (`SpiderMiner::mine`, `TransactionMiner::mine`, and `run()` in each of the
-//! four baselines). This crate puts them all behind **one** surface:
-//!
-//! * [`Miner`] — the single trait: `mine(&GraphSource, &mut MineContext) ->
-//!   Result<MineOutcome, MineError>`, implemented by SpiderMine, its
-//!   transaction adaptation, SUBDUE, MoSS, ORIGAMI and SEuS.
 //! * [`MineRequest`] — a validated builder (σ, K, ε, `Dmax`, r, budgets,
-//!   seed). Bad values are rejected with [`MineError::InvalidConfig`] naming
-//!   the offending field, instead of the silently-accepted
-//!   `support_threshold: 0` of the legacy entry points.
+//!   seed). [`MineRequest::build`] rejects bad values with
+//!   [`MineError::InvalidConfig`] naming the offending field, and returns an
+//!   [`Engine`].
+//! * [`Engine::mine`] — `mine(&GraphSource, &mut MineContext) ->
+//!   Result<MineOutcome, MineError>` for whichever algorithm the request
+//!   names. It calls that algorithm's own `*_with` entry point
+//!   (`SpiderMiner::mine_with`, `TransactionMiner::mine_with`, or `run_with`
+//!   in each baseline) on the config the request maps onto.
 //! * [`MineContext`] — cooperative cancellation ([`CancelToken`]), progress
 //!   callbacks ([`ProgressEvent`]), per-stage timings ([`StageTiming`]), and
 //!   push-streaming of accepted patterns ([`StreamedPattern`]).
 //! * [`PatternStream`] — pull-based streaming: iterate over patterns while
-//!   the run proceeds on a worker thread.
-//!
-//! The legacy per-algorithm entry points remain as thin deprecated shims, so
-//! their outputs stay byte-identical; they forward to the same `*_with`
-//! implementations this crate drives.
+//!   an [`Engine`] runs on a worker thread.
 //!
 //! ```
-//! use spidermine_engine::{Algorithm, GraphSource, MineContext, MineRequest, Miner};
+//! use spidermine_engine::{Algorithm, GraphSource, MineContext, MineRequest};
 //! use spidermine_graph::{Label, LabeledGraph};
 //!
 //! // A toy network: two copies of a 4-vertex pattern plus noise.
@@ -52,10 +48,7 @@ pub mod stream;
 pub mod wire;
 
 pub use error::MineError;
-pub use miner::{
-    Engine, EngineKind, GraphSource, MineOutcome, Miner, MossEngine, OrigamiEngine, SeusEngine,
-    SpiderMineEngine, SubdueEngine, TransactionEngine,
-};
+pub use miner::{Engine, GraphSource, MineOutcome};
 pub use request::{Algorithm, MineRequest};
 pub use stream::{OwnedGraphSource, PatternStream};
 pub use wire::WireError;

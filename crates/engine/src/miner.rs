@@ -1,10 +1,9 @@
-//! The [`Miner`] trait, the graph sources it mines, and the unified outcome.
+//! The [`Engine`], the graph sources it mines, and the unified outcome.
 
 use crate::error::MineError;
 use crate::request::{Algorithm, MineRequest};
-use spidermine::{SpiderMineConfig, SpiderMiner, TransactionMiner};
+use spidermine::{SpiderMiner, TransactionMiner};
 use spidermine_baselines::{moss, origami, seus, subdue};
-use spidermine_baselines::{MossConfig, OrigamiConfig, SeusConfig, SubdueConfig};
 use spidermine_graph::{GraphDatabase, LabeledGraph};
 use spidermine_mining::context::{MineContext, StageTiming, StreamedPattern};
 use std::time::{Duration, Instant};
@@ -105,484 +104,34 @@ impl MineOutcome {
     }
 }
 
-/// The one trait every mining algorithm in the workspace implements: mine a
-/// [`GraphSource`] under a [`MineContext`] (cancellation, progress,
-/// streaming), produce a [`MineOutcome`].
-///
-/// Implementations must honor the context contract: poll the cancel token at
-/// stage/iteration boundaries, stream each accepted pattern through the sink
-/// before returning, and record per-stage timings.
-pub trait Miner {
-    /// The algorithm behind this miner.
-    fn algorithm(&self) -> Algorithm;
-
-    /// Runs the miner. Cancellation is not an error — a fired token yields
-    /// `Ok` with `outcome.cancelled == true` and partial patterns.
-    fn mine(&self, host: &GraphSource<'_>, ctx: &mut MineContext)
-        -> Result<MineOutcome, MineError>;
-}
-
-fn finish_outcome(
-    algorithm: Algorithm,
-    patterns: Vec<StreamedPattern>,
-    ctx: &mut MineContext,
-    start: Instant,
-) -> MineOutcome {
-    MineOutcome {
-        algorithm,
-        patterns,
-        stream_order: Vec::new(),
-        cancelled: ctx.was_cancelled(),
-        timed_out: ctx.timed_out(),
-        stages: ctx.take_timings(),
-        total_time: start.elapsed(),
-        // Inside an `Engine` run this reflects the request's `threads` knob
-        // (the engine wraps the run in the matching width scope).
-        threads: rayon::current_num_threads(),
-        dropped_embeddings: 0,
-    }
-}
-
-/// SpiderMine behind the unified API.
-#[derive(Clone, Debug)]
-pub struct SpiderMineEngine {
-    config: SpiderMineConfig,
-}
-
-impl SpiderMineEngine {
-    /// Wraps a raw config, reporting invalid values as [`MineError`] instead
-    /// of the legacy constructor panic.
-    pub fn new(config: SpiderMineConfig) -> Result<Self, MineError> {
-        config
-            .validate()
-            .map_err(|message| MineError::InvalidConfig {
-                field: "config",
-                message,
-            })?;
-        Ok(Self { config })
-    }
-
-    /// The underlying configuration.
-    pub fn config(&self) -> &SpiderMineConfig {
-        &self.config
-    }
-}
-
-impl Miner for SpiderMineEngine {
-    fn algorithm(&self) -> Algorithm {
-        Algorithm::SpiderMine
-    }
-
-    fn mine(
-        &self,
-        host: &GraphSource<'_>,
-        ctx: &mut MineContext,
-    ) -> Result<MineOutcome, MineError> {
-        let g = host.single(self.algorithm())?;
-        let start = Instant::now();
-        let result = SpiderMiner::new(self.config.clone()).mine_with(g, ctx);
-        let dropped = result.stats.merge_embeddings_dropped;
-        let patterns = result
-            .patterns
-            .into_iter()
-            .map(|p| StreamedPattern {
-                pattern: p.pattern,
-                support: p.support,
-                embeddings: p.embeddings,
-            })
-            .collect();
-        let mut outcome = finish_outcome(self.algorithm(), patterns, ctx, start);
-        outcome.dropped_embeddings = dropped;
-        outcome.stream_order = result.stream_order;
-        Ok(outcome)
-    }
-}
-
-/// SpiderMine's graph-transaction adaptation behind the unified API.
-#[derive(Clone, Debug)]
-pub struct TransactionEngine {
-    config: SpiderMineConfig,
-}
-
-impl TransactionEngine {
-    /// Wraps a raw config, reporting invalid values as [`MineError`].
-    pub fn new(config: SpiderMineConfig) -> Result<Self, MineError> {
-        config
-            .validate()
-            .map_err(|message| MineError::InvalidConfig {
-                field: "config",
-                message,
-            })?;
-        Ok(Self { config })
-    }
-}
-
-impl Miner for TransactionEngine {
-    fn algorithm(&self) -> Algorithm {
-        Algorithm::SpiderMineTransactions
-    }
-
-    fn mine(
-        &self,
-        host: &GraphSource<'_>,
-        ctx: &mut MineContext,
-    ) -> Result<MineOutcome, MineError> {
-        let db = host.transactions(self.algorithm())?;
-        let start = Instant::now();
-        let result = TransactionMiner::new(self.config.clone()).mine_with(db, ctx);
-        let dropped = result.stats.merge_embeddings_dropped;
-        let patterns = result
-            .patterns
-            .into_iter()
-            .map(|p| StreamedPattern {
-                pattern: p.pattern,
-                support: p.transaction_support,
-                embeddings: Vec::new(),
-            })
-            .collect();
-        let mut outcome = finish_outcome(self.algorithm(), patterns, ctx, start);
-        outcome.dropped_embeddings = dropped;
-        Ok(outcome)
-    }
-}
-
-/// SUBDUE behind the unified API. Support is the number of vertex-disjoint
-/// instances.
-#[derive(Clone, Debug)]
-pub struct SubdueEngine {
-    config: SubdueConfig,
-}
-
-impl SubdueEngine {
-    /// Wraps a SUBDUE configuration, rejecting invalid values with
-    /// [`MineError::InvalidConfig`] naming the field.
-    pub fn new(config: SubdueConfig) -> Result<Self, MineError> {
-        if config.min_instances == 0 {
-            return Err(MineError::invalid("min_instances", "must be at least 1"));
-        }
-        if config.report == 0 {
-            return Err(MineError::invalid("report", "must be at least 1"));
-        }
-        if config.beam_width == 0 {
-            return Err(MineError::invalid("beam_width", "must be at least 1"));
-        }
-        if config.max_edges == 0 {
-            return Err(MineError::invalid("max_edges", "must be at least 1"));
-        }
-        if config.max_embeddings == 0 {
-            return Err(MineError::invalid("max_embeddings", "must be at least 1"));
-        }
-        if config.time_budget.is_zero() {
-            return Err(MineError::invalid("time_budget", "must be positive"));
-        }
-        Ok(Self { config })
-    }
-}
-
-impl Miner for SubdueEngine {
-    fn algorithm(&self) -> Algorithm {
-        Algorithm::Subdue
-    }
-
-    fn mine(
-        &self,
-        host: &GraphSource<'_>,
-        ctx: &mut MineContext,
-    ) -> Result<MineOutcome, MineError> {
-        let g = host.single(self.algorithm())?;
-        let start = Instant::now();
-        let result = subdue::run_with(g, &self.config, ctx);
-        let patterns = result
-            .patterns
-            .into_iter()
-            .map(|p| StreamedPattern {
-                pattern: p.pattern,
-                support: p.instances,
-                embeddings: Vec::new(),
-            })
-            .collect();
-        Ok(finish_outcome(self.algorithm(), patterns, ctx, start))
-    }
-}
-
-/// The MoSS/gSpan-style complete miner behind the unified API.
-#[derive(Clone, Debug)]
-pub struct MossEngine {
-    config: MossConfig,
-}
-
-impl MossEngine {
-    /// Wraps a MoSS configuration, rejecting invalid values with
-    /// [`MineError::InvalidConfig`] naming the field.
-    pub fn new(config: MossConfig) -> Result<Self, MineError> {
-        if config.support_threshold == 0 {
-            return Err(MineError::invalid(
-                "support_threshold",
-                "must be at least 1",
-            ));
-        }
-        if config.max_edges == 0 {
-            return Err(MineError::invalid("max_edges", "must be at least 1"));
-        }
-        if config.max_embeddings == 0 {
-            return Err(MineError::invalid("max_embeddings", "must be at least 1"));
-        }
-        if config.time_budget.is_zero() {
-            return Err(MineError::invalid("time_budget", "must be positive"));
-        }
-        Ok(Self { config })
-    }
-}
-
-impl Miner for MossEngine {
-    fn algorithm(&self) -> Algorithm {
-        Algorithm::Moss
-    }
-
-    fn mine(
-        &self,
-        host: &GraphSource<'_>,
-        ctx: &mut MineContext,
-    ) -> Result<MineOutcome, MineError> {
-        let g = host.single(self.algorithm())?;
-        let start = Instant::now();
-        let result = moss::run_with(g, &self.config, ctx);
-        let patterns = result
-            .patterns
-            .into_iter()
-            .map(|p| StreamedPattern {
-                pattern: p.pattern,
-                support: p.support,
-                embeddings: Vec::new(),
-            })
-            .collect();
-        Ok(finish_outcome(self.algorithm(), patterns, ctx, start))
-    }
-}
-
-/// ORIGAMI behind the unified API. Requires a transaction database.
-#[derive(Clone, Debug)]
-pub struct OrigamiEngine {
-    config: OrigamiConfig,
-}
-
-impl OrigamiEngine {
-    /// Wraps an ORIGAMI configuration, rejecting invalid values with
-    /// [`MineError::InvalidConfig`] naming the field.
-    pub fn new(config: OrigamiConfig) -> Result<Self, MineError> {
-        if config.support_threshold == 0 {
-            return Err(MineError::invalid(
-                "support_threshold",
-                "must be at least 1",
-            ));
-        }
-        if config.samples == 0 {
-            return Err(MineError::invalid("samples", "must be at least 1"));
-        }
-        if !(0.0..=1.0).contains(&config.alpha) {
-            return Err(MineError::invalid("alpha", "must lie in [0, 1]"));
-        }
-        if config.max_edges == 0 {
-            return Err(MineError::invalid("max_edges", "must be at least 1"));
-        }
-        if config.time_budget.is_zero() {
-            return Err(MineError::invalid("time_budget", "must be positive"));
-        }
-        Ok(Self { config })
-    }
-}
-
-impl Miner for OrigamiEngine {
-    fn algorithm(&self) -> Algorithm {
-        Algorithm::Origami
-    }
-
-    fn mine(
-        &self,
-        host: &GraphSource<'_>,
-        ctx: &mut MineContext,
-    ) -> Result<MineOutcome, MineError> {
-        let db = host.transactions(self.algorithm())?;
-        let start = Instant::now();
-        let result = origami::run_with(db, &self.config, ctx);
-        let patterns = result
-            .patterns
-            .into_iter()
-            .map(|p| StreamedPattern {
-                pattern: p.pattern,
-                support: p.support,
-                embeddings: Vec::new(),
-            })
-            .collect();
-        Ok(finish_outcome(self.algorithm(), patterns, ctx, start))
-    }
-}
-
-/// SEuS behind the unified API.
-#[derive(Clone, Debug)]
-pub struct SeusEngine {
-    config: SeusConfig,
-}
-
-impl SeusEngine {
-    /// Wraps a SEuS configuration, rejecting invalid values with
-    /// [`MineError::InvalidConfig`] naming the field.
-    pub fn new(config: SeusConfig) -> Result<Self, MineError> {
-        if config.support_threshold == 0 {
-            return Err(MineError::invalid(
-                "support_threshold",
-                "must be at least 1",
-            ));
-        }
-        if config.max_vertices < 2 {
-            return Err(MineError::invalid(
-                "max_vertices",
-                "must be at least 2 (a pattern needs an edge)",
-            ));
-        }
-        if config.max_embeddings == 0 {
-            return Err(MineError::invalid("max_embeddings", "must be at least 1"));
-        }
-        if config.time_budget.is_zero() {
-            return Err(MineError::invalid("time_budget", "must be positive"));
-        }
-        Ok(Self { config })
-    }
-}
-
-impl Miner for SeusEngine {
-    fn algorithm(&self) -> Algorithm {
-        Algorithm::Seus
-    }
-
-    fn mine(
-        &self,
-        host: &GraphSource<'_>,
-        ctx: &mut MineContext,
-    ) -> Result<MineOutcome, MineError> {
-        let g = host.single(self.algorithm())?;
-        let start = Instant::now();
-        let result = seus::run_with(g, &self.config, ctx);
-        let patterns = result
-            .patterns
-            .into_iter()
-            .map(|p| StreamedPattern {
-                pattern: p.pattern,
-                support: p.support,
-                embeddings: Vec::new(),
-            })
-            .collect();
-        Ok(finish_outcome(self.algorithm(), patterns, ctx, start))
-    }
-}
-
-/// The concrete per-algorithm engines behind one dispatching type.
-#[derive(Clone, Debug)]
-pub enum EngineKind {
-    /// SpiderMine on a single graph.
-    SpiderMine(SpiderMineEngine),
-    /// SpiderMine on a transaction database.
-    SpiderMineTransactions(TransactionEngine),
-    /// SUBDUE beam search.
-    Subdue(SubdueEngine),
-    /// MoSS/gSpan-style complete mining.
-    Moss(MossEngine),
-    /// ORIGAMI sampling.
-    Origami(OrigamiEngine),
-    /// SEuS summary-graph mining.
-    Seus(SeusEngine),
-}
-
-/// A ready-to-run miner built from a validated [`MineRequest`]: the
-/// algorithm engine plus the request's execution knobs (currently the
-/// thread-count cap, applied as a width scope around every run).
+/// A ready-to-run miner: a validated [`MineRequest`], built by
+/// [`MineRequest::build`]. [`Engine::mine`] is the one way to run any of the
+/// six algorithms.
 #[derive(Clone, Debug)]
 pub struct Engine {
-    kind: EngineKind,
-    threads: Option<usize>,
-    deadline: Option<Duration>,
+    request: MineRequest,
 }
 
 impl Engine {
     /// Builds the engine for an already-validated request.
     /// ([`MineRequest::build`] is the public path; it validates first.)
-    pub(crate) fn from_validated_request(request: &MineRequest) -> Self {
-        let kind = match request.algorithm() {
-            Algorithm::SpiderMine => EngineKind::SpiderMine(SpiderMineEngine {
-                config: request.spidermine_config(),
-            }),
-            Algorithm::SpiderMineTransactions => {
-                EngineKind::SpiderMineTransactions(TransactionEngine {
-                    config: request.spidermine_config(),
-                })
-            }
-            // A validated request maps onto valid per-algorithm configs (the
-            // per-field checks below are a subset of `MineRequest::validate`
-            // plus always-valid defaults), so these cannot fail.
-            Algorithm::Subdue => EngineKind::Subdue(
-                SubdueEngine::new(request.subdue_config())
-                    .expect("validated request maps to a valid SUBDUE config"),
-            ),
-            Algorithm::Moss => EngineKind::Moss(
-                MossEngine::new(request.moss_config())
-                    .expect("validated request maps to a valid MoSS config"),
-            ),
-            Algorithm::Origami => EngineKind::Origami(
-                OrigamiEngine::new(request.origami_config())
-                    .expect("validated request maps to a valid ORIGAMI config"),
-            ),
-            Algorithm::Seus => EngineKind::Seus(
-                SeusEngine::new(request.seus_config())
-                    .expect("validated request maps to a valid SEuS config"),
-            ),
-        };
-        Self {
-            kind,
-            threads: request.requested_threads(),
-            deadline: request.requested_deadline(),
-        }
+    pub(crate) fn from_validated_request(request: MineRequest) -> Self {
+        Self { request }
     }
 
-    /// The per-algorithm engine this run dispatches to.
-    pub fn kind(&self) -> &EngineKind {
-        &self.kind
-    }
-}
-
-impl Miner for EngineKind {
-    fn algorithm(&self) -> Algorithm {
-        match self {
-            EngineKind::SpiderMine(m) => m.algorithm(),
-            EngineKind::SpiderMineTransactions(m) => m.algorithm(),
-            EngineKind::Subdue(m) => m.algorithm(),
-            EngineKind::Moss(m) => m.algorithm(),
-            EngineKind::Origami(m) => m.algorithm(),
-            EngineKind::Seus(m) => m.algorithm(),
-        }
+    /// The algorithm this engine runs.
+    pub fn algorithm(&self) -> Algorithm {
+        self.request.algorithm()
     }
 
-    fn mine(
-        &self,
-        host: &GraphSource<'_>,
-        ctx: &mut MineContext,
-    ) -> Result<MineOutcome, MineError> {
-        match self {
-            EngineKind::SpiderMine(m) => m.mine(host, ctx),
-            EngineKind::SpiderMineTransactions(m) => m.mine(host, ctx),
-            EngineKind::Subdue(m) => m.mine(host, ctx),
-            EngineKind::Moss(m) => m.mine(host, ctx),
-            EngineKind::Origami(m) => m.mine(host, ctx),
-            EngineKind::Seus(m) => m.mine(host, ctx),
-        }
-    }
-}
-
-impl Miner for Engine {
-    fn algorithm(&self) -> Algorithm {
-        self.kind.algorithm()
-    }
-
-    fn mine(
+    /// Mines `host` with the request's algorithm under `ctx` (cancellation,
+    /// progress, streaming). Every algorithm polls the cancel token at its
+    /// stage and iteration boundaries, streams each accepted pattern through
+    /// the context's sink before returning, and records per-stage timings.
+    ///
+    /// Cancellation is not an error: a fired token yields `Ok` with
+    /// `outcome.cancelled == true` and partial patterns.
+    pub fn mine(
         &self,
         host: &GraphSource<'_>,
         ctx: &mut MineContext,
@@ -591,7 +140,7 @@ impl Miner for Engine {
         // turn its expiry into a cooperative wind-down (partial results, the
         // outcome's `timed_out` flag set). A caller-armed context deadline is
         // left alone when the request has none.
-        if let Some(deadline) = self.deadline {
+        if let Some(deadline) = self.request.requested_deadline() {
             ctx.set_deadline_in(deadline);
         }
         // One `engine_mine` span per run, under the caller's trace identity
@@ -602,20 +151,120 @@ impl Miner for Engine {
         let (trace, parent) = ctx.trace();
         let span = spidermine_telemetry::span_start("engine_mine", trace, parent);
         let started = Instant::now();
-        let result = match self.threads {
+        let result = match self.request.requested_threads() {
             // Pin every parallel region of the run to the requested width
             // (the pool grows on demand if the width exceeds it). The
             // outcome's `threads` field reports this effective count.
-            Some(threads) => rayon::with_width(threads, || self.kind.mine(host, ctx)),
-            None => self.kind.mine(host, ctx),
+            Some(threads) => rayon::with_width(threads, || self.run(host, ctx)),
+            None => self.run(host, ctx),
         };
         spidermine_telemetry::global()
             .histogram(&format!(
                 "engine_mine_nanos{{algorithm=\"{}\"}}",
-                self.kind.algorithm().name()
+                self.algorithm().name()
             ))
             .observe_duration(started.elapsed());
         spidermine_telemetry::span_end("engine_mine", trace, span);
         result
+    }
+
+    /// Dispatches to the algorithm's own `*_with` entry point on the config
+    /// the request maps onto, then builds the outcome.
+    fn run(&self, host: &GraphSource<'_>, ctx: &mut MineContext) -> Result<MineOutcome, MineError> {
+        let algorithm = self.algorithm();
+        let request = &self.request;
+        let bare = |pattern, support| StreamedPattern {
+            pattern,
+            support,
+            embeddings: Vec::new(),
+        };
+        let start = Instant::now();
+        let (patterns, stream_order, dropped_embeddings): (Vec<StreamedPattern>, _, _) =
+            match algorithm {
+                Algorithm::SpiderMine => {
+                    let result = SpiderMiner::new(request.spidermine_config())
+                        .mine_with(host.single(algorithm)?, ctx);
+                    let patterns = result
+                        .patterns
+                        .into_iter()
+                        .map(|p| StreamedPattern {
+                            pattern: p.pattern,
+                            support: p.support,
+                            embeddings: p.embeddings,
+                        })
+                        .collect();
+                    (
+                        patterns,
+                        result.stream_order,
+                        result.stats.merge_embeddings_dropped,
+                    )
+                }
+                Algorithm::SpiderMineTransactions => {
+                    let result = TransactionMiner::new(request.spidermine_config())
+                        .mine_with(host.transactions(algorithm)?, ctx);
+                    let patterns = result
+                        .patterns
+                        .into_iter()
+                        .map(|p| bare(p.pattern, p.transaction_support))
+                        .collect();
+                    (patterns, Vec::new(), result.stats.merge_embeddings_dropped)
+                }
+                Algorithm::Subdue => {
+                    let result =
+                        subdue::run_with(host.single(algorithm)?, &request.subdue_config(), ctx);
+                    let patterns = result
+                        .patterns
+                        .into_iter()
+                        .map(|p| bare(p.pattern, p.instances))
+                        .collect();
+                    (patterns, Vec::new(), 0)
+                }
+                Algorithm::Moss => {
+                    let result =
+                        moss::run_with(host.single(algorithm)?, &request.moss_config(), ctx);
+                    let patterns = result
+                        .patterns
+                        .into_iter()
+                        .map(|p| bare(p.pattern, p.support))
+                        .collect();
+                    (patterns, Vec::new(), 0)
+                }
+                Algorithm::Origami => {
+                    let result = origami::run_with(
+                        host.transactions(algorithm)?,
+                        &request.origami_config(),
+                        ctx,
+                    );
+                    let patterns = result
+                        .patterns
+                        .into_iter()
+                        .map(|p| bare(p.pattern, p.support))
+                        .collect();
+                    (patterns, Vec::new(), 0)
+                }
+                Algorithm::Seus => {
+                    let result =
+                        seus::run_with(host.single(algorithm)?, &request.seus_config(), ctx);
+                    let patterns = result
+                        .patterns
+                        .into_iter()
+                        .map(|p| bare(p.pattern, p.support))
+                        .collect();
+                    (patterns, Vec::new(), 0)
+                }
+            };
+        Ok(MineOutcome {
+            algorithm,
+            patterns,
+            stream_order,
+            cancelled: ctx.was_cancelled(),
+            timed_out: ctx.timed_out(),
+            stages: ctx.take_timings(),
+            total_time: start.elapsed(),
+            // Reflects the request's `threads` knob: `mine` wraps the run in
+            // the matching width scope.
+            threads: rayon::current_num_threads(),
+            dropped_embeddings,
+        })
     }
 }

@@ -3,10 +3,10 @@
 //! A [`MineRequest`] names an [`Algorithm`] and carries the paper's
 //! user-facing knobs (σ, K, ε, `Dmax`, r) plus engine-level budgets (time,
 //! pattern-size, embedding caps) and the RNG seed. [`MineRequest::build`]
-//! validates every field — rejecting e.g. the silently-accepted
-//! `support_threshold = 0` of the legacy entry points with a
+//! validates every field — rejecting e.g. a `support_threshold = 0`, which
+//! the algorithms' own `*_with` entry points would silently accept, with a
 //! [`MineError::InvalidConfig`] that names the bad field — and produces an
-//! [`Engine`](crate::Engine) ready to [`mine`](crate::Miner::mine).
+//! [`Engine`](crate::Engine) ready to [`mine`](crate::Engine::mine).
 
 use crate::error::MineError;
 use spidermine::SpiderMineConfig;
@@ -357,7 +357,7 @@ impl MineRequest {
     /// [`Engine`](crate::Engine).
     pub fn build(self) -> Result<crate::Engine, MineError> {
         self.validate()?;
-        Ok(crate::Engine::from_validated_request(&self))
+        Ok(crate::Engine::from_validated_request(self))
     }
 
     pub(crate) fn spidermine_config(&self) -> SpiderMineConfig {

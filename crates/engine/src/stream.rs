@@ -1,5 +1,5 @@
-//! Pull-based streaming: consume mined patterns as an iterator while the
-//! miner runs on a worker thread.
+//! Pull-based streaming: consume mined patterns as an iterator while an
+//! [`Engine`] runs on a worker thread.
 //!
 //! The push side of streaming is the [`MineContext`] sink (`on_pattern`),
 //! which every miner feeds as it accepts patterns. [`PatternStream`] turns
@@ -9,7 +9,7 @@
 //! [`PatternStream::outcome`] then joins the thread and returns the full
 //! [`MineOutcome`].
 
-use crate::miner::{GraphSource, MineOutcome, Miner};
+use crate::miner::{Engine, GraphSource, MineOutcome};
 use crate::MineError;
 use spidermine_graph::{GraphDatabase, LabeledGraph};
 use spidermine_mining::context::{CancelToken, MineContext, StreamedPattern};
@@ -30,7 +30,7 @@ pub enum OwnedGraphSource {
 }
 
 impl OwnedGraphSource {
-    /// Borrows this source as the [`GraphSource`] the [`Miner`] trait takes.
+    /// Borrows this source as the [`GraphSource`] [`Engine::mine`] takes.
     pub fn as_source(&self) -> GraphSource<'_> {
         match self {
             OwnedGraphSource::Single(g) => GraphSource::Single(g),
@@ -46,13 +46,10 @@ pub struct PatternStream {
 }
 
 impl PatternStream {
-    /// Starts `miner` on `source` in a background thread, with cancellation
+    /// Starts `engine` on `source` in a background thread, with cancellation
     /// wired to `cancel`. Patterns become available through the iterator as
-    /// the miner accepts them.
-    pub fn spawn<M>(miner: M, source: OwnedGraphSource, cancel: CancelToken) -> Self
-    where
-        M: Miner + Send + 'static,
-    {
+    /// the engine accepts them.
+    pub fn spawn(engine: Engine, source: OwnedGraphSource, cancel: CancelToken) -> Self {
         let (tx, rx) = mpsc::channel();
         let handle = std::thread::spawn(move || {
             let mut ctx = MineContext::with_cancel(cancel).on_pattern(move |p| {
@@ -60,7 +57,7 @@ impl PatternStream {
                 // the run still completes and the outcome stays available.
                 let _ = tx.send(p);
             });
-            miner.mine(&source.as_source(), &mut ctx)
+            engine.mine(&source.as_source(), &mut ctx)
         });
         Self {
             rx,

@@ -6,6 +6,7 @@
 use spidermine::{SpiderMineConfig, SpiderMiner};
 use spidermine_datasets::jeti::{self, JetiConfig};
 use spidermine_experiments::EXPERIMENT_SEED;
+use spidermine_mining::context::MineContext;
 use spidermine_mining::support::SupportMeasure;
 
 fn main() {
@@ -30,7 +31,7 @@ fn main() {
             rng_seed: EXPERIMENT_SEED,
             ..SpiderMineConfig::default()
         })
-        .mine(&dataset.graph);
+        .mine_with(&dataset.graph, &mut MineContext::new());
         let elapsed = start.elapsed();
         println!(
             "{:<10} {:>10} {:>13.3}s {:>18}",

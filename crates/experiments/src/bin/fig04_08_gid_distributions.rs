@@ -5,6 +5,7 @@ use spidermine::{SpiderMineConfig, SpiderMiner};
 use spidermine_baselines::{seus, subdue};
 use spidermine_datasets::synthetic::{GidConfig, SyntheticDataset};
 use spidermine_experiments::{header, print_histogram, EXPERIMENT_SEED};
+use spidermine_mining::context::MineContext;
 use std::time::Duration;
 
 fn main() {
@@ -31,26 +32,28 @@ fn main() {
             rng_seed: EXPERIMENT_SEED,
             ..SpiderMineConfig::default()
         })
-        .mine(&dataset.graph);
+        .mine_with(&dataset.graph, &mut MineContext::new());
         print_histogram("SpiderMine", &spidermine.size_histogram(true));
 
-        let subdue_result = subdue::run(
+        let subdue_result = subdue::run_with(
             &dataset.graph,
             &subdue::SubdueConfig {
                 report: 15,
                 time_budget: Duration::from_secs(60),
                 ..subdue::SubdueConfig::default()
             },
+            &mut MineContext::new(),
         );
         print_histogram("SUBDUE", &subdue_result.size_histogram_vertices());
 
-        let seus_result = seus::run(
+        let seus_result = seus::run_with(
             &dataset.graph,
             &seus::SeusConfig {
                 support_threshold: 2,
                 time_budget: Duration::from_secs(60),
                 ..seus::SeusConfig::default()
             },
+            &mut MineContext::new(),
         );
         print_histogram("SEuS", &seus_result.size_histogram_vertices());
 

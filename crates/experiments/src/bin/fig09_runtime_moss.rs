@@ -8,6 +8,7 @@ use spidermine::{SpiderMineConfig, SpiderMiner};
 use spidermine_baselines::moss;
 use spidermine_experiments::{format_runtime, is_full_run, EXPERIMENT_SEED};
 use spidermine_graph::generate;
+use spidermine_mining::context::MineContext;
 use std::time::Duration;
 
 fn main() {
@@ -31,16 +32,17 @@ fn main() {
             rng_seed: EXPERIMENT_SEED,
             ..SpiderMineConfig::default()
         })
-        .mine(&graph);
+        .mine_with(&graph, &mut MineContext::new());
         let sm_time = Some(start.elapsed());
 
-        let moss_result = moss::run(
+        let moss_result = moss::run_with(
             &graph,
             &moss::MossConfig {
                 support_threshold: 2,
                 time_budget: budget,
                 ..moss::MossConfig::default()
             },
+            &mut MineContext::new(),
         );
         let moss_time = if moss_result.completed {
             Some(moss_result.runtime)

@@ -7,6 +7,7 @@ use spidermine::{SpiderMineConfig, SpiderMiner};
 use spidermine_baselines::subdue;
 use spidermine_datasets::synthetic::scalability_graph;
 use spidermine_experiments::{format_runtime, is_full_run, EXPERIMENT_SEED};
+use spidermine_mining::context::MineContext;
 use std::time::Duration;
 
 fn main() {
@@ -33,15 +34,16 @@ fn main() {
             rng_seed: EXPERIMENT_SEED,
             ..SpiderMineConfig::default()
         })
-        .mine(&graph);
+        .mine_with(&graph, &mut MineContext::new());
         let sm_time = Some(start.elapsed());
 
-        let subdue_result = subdue::run(
+        let subdue_result = subdue::run_with(
             &graph,
             &subdue::SubdueConfig {
                 time_budget: budget,
                 ..subdue::SubdueConfig::default()
             },
+            &mut MineContext::new(),
         );
         let subdue_time = if subdue_result.timed_out {
             None

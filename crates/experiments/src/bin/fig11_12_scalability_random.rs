@@ -6,6 +6,7 @@
 use spidermine::{SpiderMineConfig, SpiderMiner};
 use spidermine_datasets::synthetic::scalability_graph;
 use spidermine_experiments::{scale_from_args, EXPERIMENT_SEED};
+use spidermine_mining::context::MineContext;
 
 fn main() {
     // `--full` runs the paper's sizes; otherwise `--scale X` (default 0.25 of
@@ -35,7 +36,7 @@ fn main() {
             rng_seed: EXPERIMENT_SEED,
             ..SpiderMineConfig::default()
         })
-        .mine(&graph);
+        .mine_with(&graph, &mut MineContext::new());
         let elapsed = start.elapsed();
         println!(
             "{:<10} {:>13.3}s {:>20} {:>20}",

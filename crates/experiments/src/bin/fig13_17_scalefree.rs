@@ -7,6 +7,7 @@
 use spidermine::{SpiderMineConfig, SpiderMiner};
 use spidermine_datasets::synthetic::scalefree_graph;
 use spidermine_experiments::EXPERIMENT_SEED;
+use spidermine_mining::context::MineContext;
 use spidermine_mining::spider::{SpiderCatalog, SpiderMiningConfig};
 
 fn main() {
@@ -40,7 +41,7 @@ fn main() {
             rng_seed: EXPERIMENT_SEED,
             ..SpiderMineConfig::default()
         })
-        .mine(&graph);
+        .mine_with(&graph, &mut MineContext::new());
         let elapsed = start.elapsed();
         println!(
             "{:<10} {:>10} {:>14} {:>13.3}s {:>20}",

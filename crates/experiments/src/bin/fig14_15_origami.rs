@@ -7,6 +7,7 @@ use spidermine::{SpiderMineConfig, TransactionMiner};
 use spidermine_baselines::origami;
 use spidermine_datasets::transactions::{TransactionConfig, TransactionDataset};
 use spidermine_experiments::{header, print_histogram, scale_from_args, EXPERIMENT_SEED};
+use spidermine_mining::context::MineContext;
 use std::time::Duration;
 
 fn run_one(name: &str, config: TransactionConfig) {
@@ -26,10 +27,10 @@ fn run_one(name: &str, config: TransactionConfig) {
         rng_seed: EXPERIMENT_SEED,
         ..SpiderMineConfig::default()
     })
-    .mine(&dataset.database);
+    .mine_with(&dataset.database, &mut MineContext::new());
     print_histogram("SpiderMine", &spidermine.size_histogram_vertices());
 
-    let origami_result = origami::run(
+    let origami_result = origami::run_with(
         &dataset.database,
         &origami::OrigamiConfig {
             support_threshold: 4,
@@ -37,6 +38,7 @@ fn run_one(name: &str, config: TransactionConfig) {
             time_budget: Duration::from_secs(120),
             ..origami::OrigamiConfig::default()
         },
+        &mut MineContext::new(),
     );
     print_histogram("ORIGAMI", &origami_result.size_histogram_vertices());
     println!(

@@ -7,6 +7,7 @@ use spidermine::{SpiderMineConfig, SpiderMiner};
 use spidermine_baselines::{moss, seus, subdue};
 use spidermine_datasets::synthetic::{GidConfig, SyntheticDataset};
 use spidermine_experiments::{format_runtime, is_full_run, EXPERIMENT_SEED};
+use spidermine_mining::context::MineContext;
 use std::time::Duration;
 
 fn main() {
@@ -34,15 +35,16 @@ fn main() {
             rng_seed: EXPERIMENT_SEED,
             ..SpiderMineConfig::default()
         })
-        .mine(&dataset.graph);
+        .mine_with(&dataset.graph, &mut MineContext::new());
         let sm_time = Some(sm_start.elapsed());
 
-        let subdue_result = subdue::run(
+        let subdue_result = subdue::run_with(
             &dataset.graph,
             &subdue::SubdueConfig {
                 time_budget: budget,
                 ..subdue::SubdueConfig::default()
             },
+            &mut MineContext::new(),
         );
         let subdue_time = if subdue_result.timed_out {
             None
@@ -50,13 +52,14 @@ fn main() {
             Some(subdue_result.runtime)
         };
 
-        let seus_result = seus::run(
+        let seus_result = seus::run_with(
             &dataset.graph,
             &seus::SeusConfig {
                 support_threshold: 2,
                 time_budget: budget,
                 ..seus::SeusConfig::default()
             },
+            &mut MineContext::new(),
         );
         let seus_time = if seus_result.timed_out {
             None
@@ -64,13 +67,14 @@ fn main() {
             Some(seus_result.runtime)
         };
 
-        let moss_result = moss::run(
+        let moss_result = moss::run_with(
             &dataset.graph,
             &moss::MossConfig {
                 support_threshold: 2,
                 time_budget: budget,
                 ..moss::MossConfig::default()
             },
+            &mut MineContext::new(),
         );
         let moss_time = if moss_result.completed {
             Some(moss_result.runtime)

@@ -6,6 +6,7 @@
 use spidermine::{SpiderMineConfig, SpiderMiner};
 use spidermine_datasets::synthetic::{GidConfig, SyntheticDataset};
 use spidermine_experiments::{scale_from_args, EXPERIMENT_SEED};
+use spidermine_mining::context::MineContext;
 
 fn main() {
     let scale = scale_from_args(0.15);
@@ -23,7 +24,7 @@ fn main() {
             rng_seed: EXPERIMENT_SEED,
             ..SpiderMineConfig::default()
         })
-        .mine(&dataset.graph);
+        .mine_with(&dataset.graph, &mut MineContext::new());
         let sizes: Vec<String> = result
             .patterns
             .iter()

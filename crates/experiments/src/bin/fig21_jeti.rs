@@ -6,6 +6,7 @@ use spidermine::{SpiderMineConfig, SpiderMiner};
 use spidermine_baselines::subdue;
 use spidermine_datasets::jeti::{self, JetiConfig};
 use spidermine_experiments::{header, print_histogram, EXPERIMENT_SEED};
+use spidermine_mining::context::MineContext;
 use std::time::Duration;
 
 fn main() {
@@ -23,10 +24,10 @@ fn main() {
         rng_seed: EXPERIMENT_SEED,
         ..SpiderMineConfig::default()
     })
-    .mine(&dataset.graph);
+    .mine_with(&dataset.graph, &mut MineContext::new());
     print_histogram("SpiderMine", &spidermine.size_histogram(true));
 
-    let subdue_result = subdue::run(
+    let subdue_result = subdue::run_with(
         &dataset.graph,
         &subdue::SubdueConfig {
             report: 10,
@@ -34,6 +35,7 @@ fn main() {
             time_budget: Duration::from_secs(60),
             ..subdue::SubdueConfig::default()
         },
+        &mut MineContext::new(),
     );
     print_histogram("SUBDUE", &subdue_result.size_histogram_vertices());
     println!(

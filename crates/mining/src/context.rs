@@ -255,8 +255,8 @@ impl MineContext {
     }
 
     /// Streams the pattern produced by `build` to the sink — but only calls
-    /// `build` when a sink is installed, so sink-less runs (the legacy shims,
-    /// benches, experiments) pay nothing for streaming. Acceptance is traced
+    /// `build` when a sink is installed, so sink-less runs (benches,
+    /// experiments) pay nothing for streaming. Acceptance is traced
     /// either way (without a sink the instant's support argument is 0, since
     /// the pattern is never built).
     pub fn emit_with<F: FnOnce() -> StreamedPattern>(&mut self, build: F) {

@@ -30,9 +30,8 @@
 //! the pairs with a counting sort over the dense label universe, using
 //! per-chunk reusable scratch — no per-child allocation at all. Frontier
 //! blocks expand in parallel (rayon) and splice back in frontier order,
-//! keeping the catalog byte-identical to a sequential run; with a single
-//! rayon worker, an in-place fast path skips the chunk buffers and scatters
-//! surviving heads straight into the head pool.
+//! keeping the catalog byte-identical at every pool width. Stage I has one
+//! path: with a single rayon worker the pool runs the same fold inline.
 
 use rayon::prelude::*;
 use rustc_hash::FxHashMap;
@@ -247,27 +246,10 @@ impl SpiderCatalog {
     /// The level-wise frontier is a list of *spider ids*: each level's entries
     /// are read straight out of the catalog pools, expanded in parallel
     /// blocks, and their children spliced back in frontier order — so the
-    /// catalog is byte-identical to a sequential run while per-spider data is
-    /// written into the pools exactly once. When only one rayon worker is
-    /// available, a sequential fast path scatters surviving heads straight
-    /// into the catalog's head pool, skipping the per-chunk double buffering
-    /// the parallel splice needs.
+    /// catalog is byte-identical at every pool width while per-spider data is
+    /// written into the pools exactly once. There is no separate
+    /// single-worker path: at width 1 the pool runs the same fold inline.
     pub fn mine(graph: &LabeledGraph, config: &SpiderMiningConfig) -> Self {
-        Self::mine_with_mode(graph, config, rayon::current_num_threads() <= 1)
-    }
-
-    /// [`SpiderCatalog::mine`] with the execution path pinned: `sequential`
-    /// forces the single-worker in-place fast path, `!sequential` the
-    /// parallel chunked path. Public (but hidden) so the randomized
-    /// equivalence tests can exercise *both* paths regardless of the
-    /// machine's core count; prefer [`SpiderCatalog::mine`], which picks
-    /// automatically.
-    #[doc(hidden)]
-    pub fn mine_with_mode(
-        graph: &LabeledGraph,
-        config: &SpiderMiningConfig,
-        sequential: bool,
-    ) -> Self {
         let sigma = config.support_threshold.max(1);
         let csr = graph.csr();
         let mut catalog = SpiderCatalog::default();
@@ -316,10 +298,6 @@ impl SpiderCatalog {
             if config.include_single_vertex {
                 catalog.push(*label, &[], heads);
             }
-        }
-
-        if sequential {
-            return Self::mine_sequential(csr, config, sigma, universe, &classes, catalog);
         }
 
         'seed: for block in classes.chunks(PAR_BLOCK) {
@@ -409,255 +387,6 @@ impl SpiderCatalog {
             frontier = next;
         }
         catalog
-    }
-
-    /// The single-worker fast path of [`SpiderCatalog::mine`]: identical
-    /// enumeration, but each entry's surviving heads are scattered directly
-    /// to the catalog's head-pool tail and the child spans pushed in place —
-    /// no chunk buffer, no second head copy.
-    fn mine_sequential(
-        csr: &spidermine_graph::CsrIndex,
-        config: &SpiderMiningConfig,
-        sigma: usize,
-        universe: usize,
-        classes: &[(Label, &[VertexId])],
-        mut catalog: SpiderCatalog,
-    ) -> SpiderCatalog {
-        let mut scratch = ExpandScratch::with_universe(universe);
-        let mut frontier: Vec<SpiderId> = Vec::new();
-        for &(label, heads) in classes {
-            if !catalog.expand_in_place(
-                csr,
-                label,
-                None,
-                heads,
-                sigma,
-                config.max_spiders,
-                &mut scratch,
-                &mut frontier,
-            ) {
-                break;
-            }
-        }
-        let mut leaves = 1;
-        while !frontier.is_empty() && leaves < config.max_leaves {
-            leaves += 1;
-            if catalog.len() >= config.max_spiders {
-                break;
-            }
-            let mut next: Vec<SpiderId> = Vec::new();
-            for &parent in &frontier {
-                let head_label = catalog.spans[parent].head_label;
-                if !catalog.expand_in_place(
-                    csr,
-                    head_label,
-                    Some(parent),
-                    &[],
-                    sigma,
-                    config.max_spiders,
-                    &mut scratch,
-                    &mut next,
-                ) {
-                    break;
-                }
-            }
-            frontier = next;
-        }
-        catalog
-    }
-
-    /// Expands one frontier entry (see [`expand_entry`] for the algorithm),
-    /// writing the surviving head groups straight to the head pool and
-    /// pushing the child spans. Returns `false` once `max_spiders` is hit.
-    ///
-    /// The entry's heads are `class_heads` for a level-1 label class, or the
-    /// parent spider's own pool span otherwise — read in place (the scatter
-    /// region starts past every existing span, so `split_at_mut` keeps the
-    /// borrows apart without copying the parent out first).
-    #[allow(clippy::too_many_arguments)]
-    fn expand_in_place(
-        &mut self,
-        csr: &spidermine_graph::CsrIndex,
-        head_label: Label,
-        parent: Option<SpiderId>,
-        class_heads: &[VertexId],
-        sigma: usize,
-        max_spiders: usize,
-        scratch: &mut ExpandScratch,
-        out_ids: &mut Vec<SpiderId>,
-    ) -> bool {
-        let (head_range, max_leaf, max_leaf_run) = match parent {
-            Some(p) => {
-                let s = self.spans[p];
-                let leaves = &self.leaf_pool[s.lstart as usize..(s.lstart + s.llen) as usize];
-                let max_leaf = leaves.last().copied();
-                let run = max_leaf
-                    .map(|ml| leaves.iter().rev().take_while(|&&l| l == ml).count() as u32)
-                    .unwrap_or(0);
-                (
-                    s.hstart as usize..(s.hstart + s.hlen) as usize,
-                    max_leaf,
-                    run,
-                )
-            }
-            None => (0..0, None, 0),
-        };
-        // Start of the qualifying tail of a head's histogram row. A row entry
-        // always has count ≥ 1, so every label *strictly* greater than the
-        // maximum leaf qualifies unconditionally; only the boundary label
-        // (== max leaf) must cover the trailing run plus one. Returns the
-        // index of the first unconditionally qualifying entry, plus whether
-        // the boundary label itself qualifies.
-        let tail_of = |row: &[(Label, u32)]| -> (usize, bool) {
-            match max_leaf {
-                Some(ml) => {
-                    let s = row.partition_point(|&(l, _)| l < ml);
-                    if s < row.len() && row[s].0 == ml {
-                        (s + 1, row[s].1 > max_leaf_run)
-                    } else {
-                        (s, false)
-                    }
-                }
-                None => (0, false),
-            }
-        };
-
-        // Pass A — count qualifying heads per label. The rows live
-        // contiguously in the CSR, so the second scan below stays in cache;
-        // skipping a pair buffer halves the scratch traffic of the parallel
-        // path.
-        scratch.touched.clear();
-        let count_at = |l: u32, counts: &mut [u32], touched: &mut Vec<u32>| {
-            if counts[l as usize] == 0 {
-                touched.push(l);
-            }
-            counts[l as usize] += 1;
-        };
-        let mut total = 0usize;
-        scratch.row_starts.clear();
-        {
-            let heads: &[VertexId] = if parent.is_some() {
-                &self.head_pool[head_range.clone()]
-            } else {
-                class_heads
-            };
-            for &h in heads {
-                let row = csr.neighbor_label_histogram(h);
-                let (start, boundary) = tail_of(row);
-                scratch
-                    .row_starts
-                    .push(start as u32 | if boundary { 1 << 31 } else { 0 });
-                if boundary {
-                    count_at(
-                        max_leaf.expect("boundary implies max leaf").0,
-                        &mut scratch.counts,
-                        &mut scratch.touched,
-                    );
-                    total += 1;
-                }
-                for &(label, _) in &row[start..] {
-                    count_at(label.0, &mut scratch.counts, &mut scratch.touched);
-                }
-                total += row.len() - start;
-            }
-        }
-        if total < sigma {
-            for &l in &scratch.touched {
-                scratch.counts[l as usize] = 0;
-            }
-            return true;
-        }
-        scratch.touched.sort_unstable();
-
-        scratch.cursors.clear();
-        scratch.cand_labels.clear();
-        scratch.cand_counts.clear();
-        let base = self.head_pool.len() as u32;
-        let mut cursor = base;
-        let mut children = 0u32;
-        for &l in &scratch.touched {
-            let count = scratch.counts[l as usize];
-            if count as usize >= sigma {
-                scratch.slots[l as usize] = children;
-                scratch.cand_labels.push(l);
-                scratch.cand_counts.push(count);
-                scratch.cursors.push(cursor);
-                cursor += count;
-                children += 1;
-            } else {
-                scratch.slots[l as usize] = u32::MAX;
-            }
-        }
-
-        // Pass B — scatter the surviving heads straight into the head pool,
-        // grouped per accepted label, ascending head order per group. Every
-        // existing span (the parent's included) lies below `base`, so the
-        // pool splits into a stable read half and the scatter tail.
-        if children > 0 {
-            self.head_pool.resize(cursor as usize, VertexId(0));
-            let (stable, tail) = self.head_pool.split_at_mut(base as usize);
-            let heads: &[VertexId] = if parent.is_some() {
-                &stable[head_range]
-            } else {
-                class_heads
-            };
-            let mut scatter = |l: u32, h: VertexId, cursors: &mut [u32]| {
-                let slot = scratch.slots[l as usize];
-                if slot != u32::MAX {
-                    let at = &mut cursors[slot as usize];
-                    tail[(*at - base) as usize] = h;
-                    *at += 1;
-                }
-            };
-            for (&h, &memo) in heads.iter().zip(&scratch.row_starts) {
-                let row = csr.neighbor_label_histogram(h);
-                let start = (memo & !(1 << 31)) as usize;
-                if memo & (1 << 31) != 0 {
-                    scatter(
-                        max_leaf.expect("boundary implies max leaf").0,
-                        h,
-                        &mut scratch.cursors,
-                    );
-                }
-                for &(label, _) in &row[start..] {
-                    scatter(label.0, h, &mut scratch.cursors);
-                }
-            }
-        }
-        for &l in &scratch.touched {
-            scratch.counts[l as usize] = 0;
-        }
-
-        if children > 0 {
-            // One invalidation covers every push below.
-            self.by_head_label.take();
-        }
-        let parent_leaf_range = parent.map(|p| {
-            let s = self.spans[p];
-            s.lstart as usize..(s.lstart + s.llen) as usize
-        });
-        let mut hstart = base;
-        for (&l, &count) in scratch.cand_labels.iter().zip(&scratch.cand_counts) {
-            if self.len() >= max_spiders {
-                return false;
-            }
-            let lstart = self.leaf_pool.len() as u32;
-            if let Some(range) = parent_leaf_range.clone() {
-                self.leaf_pool.extend_from_within(range);
-            }
-            self.leaf_pool.push(Label(l));
-            let id = self.spans.len();
-            self.spans.push(SpiderSpan {
-                head_label,
-                lstart,
-                llen: self.leaf_pool.len() as u32 - lstart,
-                hstart,
-                hlen: count,
-            });
-            out_ids.push(id);
-            hstart += count;
-        }
-        true
     }
 
     /// Appends a spider by copying the given slices into the pools.
@@ -784,13 +513,6 @@ struct ExpandScratch {
     touched: Vec<u32>,
     /// Scatter cursor per accepted child.
     cursors: Vec<u32>,
-    /// Accepted candidate labels (sequential in-place path).
-    cand_labels: Vec<u32>,
-    /// Surviving-head count per accepted candidate (sequential path).
-    cand_counts: Vec<u32>,
-    /// Memoized row-tail start per head from pass A (boundary-qualifies flag
-    /// in the high bit), so pass B skips the binary searches.
-    row_starts: Vec<u32>,
 }
 
 impl ExpandScratch {
@@ -802,9 +524,6 @@ impl ExpandScratch {
             slots: vec![0; universe],
             touched: Vec::new(),
             cursors: Vec::new(),
-            cand_labels: Vec::new(),
-            cand_counts: Vec::new(),
-            row_starts: Vec::new(),
         }
     }
 }
@@ -1329,9 +1048,9 @@ mod tests {
         }
     }
 
-    /// The sequential in-place fast path and the parallel chunked path must
-    /// produce identical catalogs (whichever one `mine` picked for this
-    /// machine).
+    /// A sequential run (width 1, where the pool folds inline) and parallel
+    /// runs both produce the reference catalog, with and without the
+    /// `max_spiders` cap cutting a level short.
     #[test]
     fn sequential_and_parallel_paths_agree() {
         let g = two_star_graph();
@@ -1342,12 +1061,14 @@ mod tests {
                     max_spiders,
                     ..SpiderMiningConfig::default()
                 };
-                let seq = SpiderCatalog::mine_with_mode(&g, &config, true);
-                let par = SpiderCatalog::mine_with_mode(&g, &config, false);
-                assert!(
-                    reference::catalogs_equal(&seq, &par),
-                    "paths diverge at sigma {sigma}, cap {max_spiders}"
-                );
+                let slow = reference::mine(&g, &config);
+                for width in [1, 2, 4] {
+                    let fast = rayon::with_width(width, || SpiderCatalog::mine(&g, &config));
+                    assert!(
+                        reference::catalogs_equal(&fast, &slow),
+                        "width {width} diverges at sigma {sigma}, cap {max_spiders}"
+                    );
+                }
             }
         }
     }

@@ -20,7 +20,7 @@ use crate::cache::{CacheKey, CacheLookup, CacheStats, PendingGuard, ResultCache}
 use crate::catalog::{GraphCatalog, GraphSnapshot};
 use crate::clients::{ClientRegistry, ClientStats};
 use crate::error::ServiceError;
-use spidermine_engine::{Engine, GraphSource, MineError, MineOutcome, MineRequest, Miner};
+use spidermine_engine::{Engine, GraphSource, MineError, MineOutcome, MineRequest};
 use spidermine_faultline::{self as faultline, RetryPolicy};
 use spidermine_mining::context::{CancelToken, MineContext, StreamedPattern};
 use spidermine_telemetry::{self as telemetry, Counter, Histogram, Registry};

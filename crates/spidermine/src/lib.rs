@@ -1,15 +1,16 @@
 //! SpiderMine — mining the top-K largest frequent structural patterns in a
 //! single massive network (reproduction of Zhu et al., VLDB 2011).
 //!
-//! The recommended entry point is the unified engine API
-//! (`spidermine-engine`): build a validated `MineRequest`, get a `Miner`, and
-//! run it with a `MineContext` that supports cancellation, progress and
-//! streaming. [`SpiderMiner::mine`] / [`TransactionMiner::mine`] remain as
-//! thin deprecated shims over [`SpiderMiner::mine_with`] /
-//! [`TransactionMiner::mine_with`] with byte-identical outputs.
+//! Services and tools run it through the unified engine API
+//! (`spidermine-engine`): build a validated `MineRequest`, get an `Engine`,
+//! and run it with a `MineContext` that supports cancellation, progress and
+//! streaming. The engine calls [`SpiderMiner::mine_with`] /
+//! [`TransactionMiner::mine_with`], which are also the crate's own entry
+//! points for callers that need the full [`MiningResult`] (its statistics
+//! and stage times).
 //!
 //! ```
-//! use spidermine_engine::{Algorithm, GraphSource, MineContext, MineRequest, Miner};
+//! use spidermine_engine::{Algorithm, GraphSource, MineContext, MineRequest};
 //! use spidermine_graph::{LabeledGraph, Label};
 //!
 //! // A toy network: two copies of a 4-vertex pattern plus noise.

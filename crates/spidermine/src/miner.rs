@@ -41,7 +41,7 @@ fn maybe_compact_store(store: &mut EmbeddingStore, groups: &mut [&mut Vec<GrownP
 }
 
 /// The SpiderMine miner. Create it with a [`SpiderMineConfig`] and call
-/// [`SpiderMiner::mine`].
+/// [`SpiderMiner::mine_with`].
 #[derive(Clone, Debug)]
 pub struct SpiderMiner {
     config: SpiderMineConfig,
@@ -69,15 +69,7 @@ impl SpiderMiner {
     /// (Definition 3): with probability at least `1 - ε` the result contains
     /// every top-K largest pattern with support ≥ σ and diameter ≤ `Dmax`.
     ///
-    /// This entry point is kept as a thin shim over
-    /// [`SpiderMiner::mine_with`] for existing callers; new code should go
-    /// through the unified engine API (`spidermine-engine`), which also
-    /// exposes cancellation, progress and streaming.
-    pub fn mine(&self, host: &LabeledGraph) -> MiningResult {
-        self.mine_with(host, &mut MineContext::new())
-    }
-
-    /// [`SpiderMiner::mine`] with an execution context: the context's
+    /// The run follows `ctx`: its
     /// [`CancelToken`](spidermine_mining::context::CancelToken) is polled at
     /// every stage and iteration boundary (a fired token winds the run down
     /// and returns the patterns selected so far as a partial result), progress
@@ -458,7 +450,7 @@ mod tests {
     #[test]
     fn recovers_a_planted_large_pattern() {
         let (host, pattern) = planted_graph(3, 12, 11);
-        let result = miner(5).mine(&host);
+        let result = miner(5).mine_with(&host, &mut MineContext::new());
         assert!(!result.patterns.is_empty());
         // The largest mined pattern should be comparable in size to the
         // planted one (12 vertices, ~14 edges); background noise patterns with
@@ -480,7 +472,7 @@ mod tests {
     #[test]
     fn patterns_are_sorted_by_decreasing_size() {
         let (host, _) = planted_graph(2, 10, 23);
-        let result = miner(8).mine(&host);
+        let result = miner(8).mine_with(&host, &mut MineContext::new());
         let sizes: Vec<usize> = result.patterns.iter().map(|p| p.size_edges()).collect();
         let mut sorted = sizes.clone();
         sorted.sort_unstable_by(|a, b| b.cmp(a));
@@ -491,7 +483,7 @@ mod tests {
     #[test]
     fn returned_embeddings_are_valid() {
         let (host, _) = planted_graph(2, 8, 5);
-        let result = miner(4).mine(&host);
+        let result = miner(4).mine_with(&host, &mut MineContext::new());
         for p in &result.patterns {
             let ep = spidermine_mining::embedding::EmbeddedPattern::new(
                 p.pattern.clone(),
@@ -507,7 +499,7 @@ mod tests {
 
     #[test]
     fn empty_graph_returns_empty_result() {
-        let result = miner(3).mine(&LabeledGraph::new());
+        let result = miner(3).mine_with(&LabeledGraph::new(), &mut MineContext::new());
         assert!(result.patterns.is_empty());
         assert_eq!(result.stats.spider_count, 0);
     }
@@ -515,7 +507,7 @@ mod tests {
     #[test]
     fn k_limits_the_number_of_returned_patterns() {
         let (host, _) = planted_graph(2, 8, 31);
-        let result = miner(2).mine(&host);
+        let result = miner(2).mine_with(&host, &mut MineContext::new());
         assert!(result.patterns.len() <= 2);
     }
 
@@ -531,8 +523,8 @@ mod tests {
     #[test]
     fn deterministic_for_fixed_seed() {
         let (host, _) = planted_graph(2, 9, 41);
-        let a = miner(4).mine(&host);
-        let b = miner(4).mine(&host);
+        let a = miner(4).mine_with(&host, &mut MineContext::new());
+        let b = miner(4).mine_with(&host, &mut MineContext::new());
         let sizes_a: Vec<_> = a
             .patterns
             .iter()
@@ -611,7 +603,7 @@ mod tests {
     #[test]
     fn tiny_graph_without_frequent_patterns() {
         let host = LabeledGraph::from_parts(&[Label(0), Label(1)], &[(0, 1)]);
-        let result = miner(3).mine(&host);
+        let result = miner(3).mine_with(&host, &mut MineContext::new());
         // A single edge with unique labels has no pattern of support >= 2.
         assert!(result.patterns.is_empty());
     }

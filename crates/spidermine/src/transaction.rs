@@ -65,15 +65,8 @@ impl TransactionMiner {
         Self { config }
     }
 
-    /// Mines the approximate top-K largest patterns of `db`.
-    ///
-    /// Thin shim over [`TransactionMiner::mine_with`]; new code should go
-    /// through the unified engine API (`spidermine-engine`).
-    pub fn mine(&self, db: &GraphDatabase) -> TransactionMiningResult {
-        self.mine_with(db, &mut MineContext::new())
-    }
-
-    /// [`TransactionMiner::mine`] with an execution context. The inner
+    /// Mines the approximate top-K largest patterns of `db` under an
+    /// execution context. The inner
     /// single-graph run shares the context's cancel token (so a fired token
     /// also stops the inner stages) and contributes its per-stage timings;
     /// the final re-ranked patterns stream through the context's sink.
@@ -177,7 +170,7 @@ mod tests {
     #[test]
     fn mines_pattern_shared_across_transactions() {
         let (db, pattern) = planted_db(4, 9);
-        let result = TransactionMiner::new(config(5, 3)).mine(&db);
+        let result = TransactionMiner::new(config(5, 3)).mine_with(&db, &mut MineContext::new());
         assert!(!result.patterns.is_empty());
         let largest = &result.patterns[0];
         assert!(largest.transaction_support >= 3);
@@ -192,7 +185,7 @@ mod tests {
     #[test]
     fn transaction_support_is_not_embedding_count() {
         let (db, _) = planted_db(3, 21);
-        let result = TransactionMiner::new(config(5, 2)).mine(&db);
+        let result = TransactionMiner::new(config(5, 2)).mine_with(&db, &mut MineContext::new());
         for p in &result.patterns {
             assert!(p.transaction_support <= db.len());
         }
@@ -200,14 +193,15 @@ mod tests {
 
     #[test]
     fn empty_database_returns_nothing() {
-        let result = TransactionMiner::new(config(3, 2)).mine(&GraphDatabase::default());
+        let result = TransactionMiner::new(config(3, 2))
+            .mine_with(&GraphDatabase::default(), &mut MineContext::new());
         assert!(result.patterns.is_empty());
     }
 
     #[test]
     fn k_is_respected() {
         let (db, _) = planted_db(3, 33);
-        let result = TransactionMiner::new(config(2, 2)).mine(&db);
+        let result = TransactionMiner::new(config(2, 2)).mine_with(&db, &mut MineContext::new());
         assert!(result.patterns.len() <= 2);
     }
 }

@@ -291,25 +291,6 @@ impl MiningClient {
         Ok(Self { inner })
     }
 
-    /// [`connect`](Self::connect) with retries: `attempts` tries with
-    /// exponential backoff from `initial_delay` (jittered, capped — see
-    /// [`RetryPolicy`]). Returns the last error if every attempt fails, or
-    /// immediately on a non-transient refusal (e.g. the connection cap) —
-    /// retrying an *answer* only repeats it.
-    pub fn connect_with_backoff(
-        addr: impl ToSocketAddrs + Clone,
-        client_name: &str,
-        attempts: usize,
-        initial_delay: Duration,
-    ) -> Result<Self, TransportError> {
-        let policy = RetryPolicy {
-            max_attempts: u32::try_from(attempts.max(1)).unwrap_or(u32::MAX),
-            base_delay: initial_delay,
-            ..RetryPolicy::default()
-        };
-        Self::connect_with_policy(addr, client_name, &policy).map(|(client, _)| client)
-    }
-
     /// [`connect`](Self::connect) under an explicit [`RetryPolicy`]. On
     /// success also returns how many attempts it took (1 = first try), so
     /// callers can surface flakiness instead of silently absorbing it.

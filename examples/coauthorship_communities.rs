@@ -9,6 +9,7 @@
 use spidermine::{SpiderMineConfig, SpiderMiner};
 use spidermine_baselines::subdue;
 use spidermine_datasets::dblp::{self, DblpConfig};
+use spidermine_engine::MineContext;
 use spidermine_examples::describe_result;
 
 fn main() {
@@ -35,13 +36,17 @@ fn main() {
         max_spider_leaves: 5,
         ..SpiderMineConfig::default()
     })
-    .mine(&dataset.graph);
+    .mine_with(&dataset.graph, &mut MineContext::new());
     describe_result("SpiderMine: top collaborative patterns", &result);
 
     // SUBDUE, for contrast, concentrates on tiny high-frequency structures —
     // with only four labels, small co-authorship motifs are ubiquitous and
     // uninformative (the paper's point in Section 1 and Figure 20).
-    let subdue_result = subdue::run(&dataset.graph, &subdue::SubdueConfig::default());
+    let subdue_result = subdue::run_with(
+        &dataset.graph,
+        &subdue::SubdueConfig::default(),
+        &mut MineContext::new(),
+    );
     let subdue_largest = subdue_result
         .patterns
         .iter()

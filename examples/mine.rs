@@ -82,8 +82,7 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use spidermine_engine::{
-    Algorithm, GraphSource, MineContext, MineError, MineRequest, Miner, ProgressEvent,
-    SupportMeasure,
+    Algorithm, GraphSource, MineContext, MineError, MineRequest, ProgressEvent, SupportMeasure,
 };
 use spidermine_faultline::{FaultInjector, FaultPlan};
 use spidermine_graph::{generate, io, GraphDatabase, LabeledGraph};

@@ -8,6 +8,7 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use spidermine::{SpiderMineConfig, SpiderMiner};
+use spidermine_engine::MineContext;
 use spidermine_examples::describe_result;
 use spidermine_graph::generate;
 
@@ -37,7 +38,7 @@ fn main() {
     };
 
     // 3. Mine and report.
-    let result = SpiderMiner::new(config).mine(&network);
+    let result = SpiderMiner::new(config).mine_with(&network, &mut MineContext::new());
     describe_result("top-5 largest frequent patterns:", &result);
     println!(
         "largest pattern found has {} vertices (planted: {})",

@@ -10,6 +10,7 @@
 
 use spidermine::{SpiderMineConfig, SpiderMiner};
 use spidermine_datasets::jeti::{self, JetiConfig};
+use spidermine_engine::MineContext;
 use spidermine_examples::describe_result;
 use std::collections::BTreeSet;
 
@@ -29,7 +30,7 @@ fn main() {
         d_max: 8,
         ..SpiderMineConfig::default()
     })
-    .mine(&dataset.graph);
+    .mine_with(&dataset.graph, &mut MineContext::new());
     describe_result("SpiderMine: top call-graph backbones", &result);
 
     // For the largest backbone, report which classes participate — high

@@ -9,6 +9,7 @@
 use spidermine::{SpiderMineConfig, TransactionMiner};
 use spidermine_baselines::origami;
 use spidermine_datasets::transactions::{TransactionConfig, TransactionDataset};
+use spidermine_engine::MineContext;
 
 fn main() {
     let dataset = TransactionDataset::build(TransactionConfig::figure15(0.2), 5);
@@ -31,7 +32,7 @@ fn main() {
         d_max: 8,
         ..SpiderMineConfig::default()
     })
-    .mine(&dataset.database);
+    .mine_with(&dataset.database, &mut MineContext::new());
     println!(
         "SpiderMine (transaction setting): top-{} patterns",
         result.patterns.len()
@@ -45,13 +46,14 @@ fn main() {
         );
     }
 
-    let origami_result = origami::run(
+    let origami_result = origami::run_with(
         &dataset.database,
         &origami::OrigamiConfig {
             support_threshold: 4,
             samples: 25,
             ..origami::OrigamiConfig::default()
         },
+        &mut MineContext::new(),
     );
     println!(
         "ORIGAMI for comparison: {} representatives, largest has {} vertices (drifts small when many small patterns exist)",

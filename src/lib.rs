@@ -9,8 +9,9 @@
 //! * `spidermine-mining` — embeddings, support measures, spider mining.
 //! * `spidermine` — the three-stage SpiderMine algorithm.
 //! * `spidermine-baselines` — SUBDUE / SEuS / MoSS / ORIGAMI comparators.
-//! * `spidermine-engine` — the unified `Miner` API: validated requests,
-//!   cancellation, progress, streaming over all six miners.
+//! * `spidermine-engine` — the unified engine API: validated requests
+//!   (`MineRequest` → `Engine`), cancellation, progress, streaming over all
+//!   six miners.
 //! * `spidermine-datasets` — synthetic + real-shaped dataset builders.
 //! * `spidermine-experiments` — per-figure experiment binaries.
 //! * `spidermine-bench` — Criterion benchmarks (see `BENCH_embedding.json`

@@ -7,6 +7,7 @@
 use spidermine::{SpiderMineConfig, SpiderMiner};
 use spidermine_baselines::{moss, seus, subdue};
 use spidermine_datasets::synthetic::{GidConfig, SyntheticDataset};
+use spidermine_engine::MineContext;
 use std::time::Duration;
 
 fn planted_dataset() -> SyntheticDataset {
@@ -36,22 +37,24 @@ fn spidermine_finds_larger_patterns_than_subdue_and_seus() {
         rng_seed: 3,
         ..SpiderMineConfig::default()
     })
-    .mine(&dataset.graph);
+    .mine_with(&dataset.graph, &mut MineContext::new());
 
-    let subdue_result = subdue::run(
+    let subdue_result = subdue::run_with(
         &dataset.graph,
         &subdue::SubdueConfig {
             time_budget: Duration::from_secs(30),
             ..subdue::SubdueConfig::default()
         },
+        &mut MineContext::new(),
     );
-    let seus_result = seus::run(
+    let seus_result = seus::run_with(
         &dataset.graph,
         &seus::SeusConfig {
             support_threshold: 2,
             time_budget: Duration::from_secs(30),
             ..seus::SeusConfig::default()
         },
+        &mut MineContext::new(),
     );
 
     let sm_largest = spidermine.largest_vertices();
@@ -106,8 +109,8 @@ fn complete_miner_confirms_spidermine_patterns_are_frequent() {
         rng_seed: 5,
         ..SpiderMineConfig::default()
     })
-    .mine(&dataset.graph);
-    let complete = moss::run(
+    .mine_with(&dataset.graph, &mut MineContext::new());
+    let complete = moss::run_with(
         &dataset.graph,
         &moss::MossConfig {
             support_threshold: 2,
@@ -115,6 +118,7 @@ fn complete_miner_confirms_spidermine_patterns_are_frequent() {
             time_budget: Duration::from_secs(60),
             ..moss::MossConfig::default()
         },
+        &mut MineContext::new(),
     );
     // The sizes SpiderMine reports must not exceed the largest frequent size
     // the exhaustive miner can certify (when the exhaustive run completed).
@@ -136,13 +140,14 @@ fn complete_miner_confirms_spidermine_patterns_are_frequent() {
 #[test]
 fn seus_output_is_dominated_by_small_patterns() {
     let dataset = planted_dataset();
-    let result = seus::run(
+    let result = seus::run_with(
         &dataset.graph,
         &seus::SeusConfig {
             support_threshold: 2,
             time_budget: Duration::from_secs(30),
             ..seus::SeusConfig::default()
         },
+        &mut MineContext::new(),
     );
     // The paper's observation: SEuS returns mostly small structures. Verify
     // that nothing approaching the planted 18-vertex pattern appears.

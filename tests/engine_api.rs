@@ -1,11 +1,11 @@
 //! Workspace-level tests of the unified engine API.
 //!
-//! The redesign's contract: every algorithm reached through the [`Miner`]
-//! trait produces **byte-identical** patterns to its pre-redesign entry point
-//! (the old entry points are thin shims over the same `*_with`
-//! implementations), invalid requests are rejected with the offending field
-//! named, and a fired `CancelToken` mid-run yields a partial result instead
-//! of a panic.
+//! The engine's contract: every algorithm reached through
+//! [`MineRequest`] → [`Engine::mine`](spidermine_engine::Engine::mine)
+//! produces **byte-identical** patterns to the algorithm's own `*_with`
+//! entry point run on the config the request maps onto, invalid requests
+//! are rejected with the offending field named, and a fired `CancelToken`
+//! mid-run yields a partial result instead of a panic.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -14,9 +14,8 @@ use spidermine_baselines::{moss, origami, seus, subdue};
 use spidermine_baselines::{MossConfig, OrigamiConfig, SeusConfig, SubdueConfig};
 use spidermine_engine::wire::encode_pattern;
 use spidermine_engine::{
-    Algorithm, CancelToken, GraphSource, MineContext, MineError, MineOutcome, MineRequest, Miner,
-    MossEngine, OrigamiEngine, OwnedGraphSource, PatternStream, ProgressEvent, SeusEngine,
-    SpiderMineEngine, SubdueEngine, TransactionEngine,
+    Algorithm, CancelToken, GraphSource, MineContext, MineError, MineOutcome, MineRequest,
+    OwnedGraphSource, PatternStream, ProgressEvent, StreamedPattern,
 };
 use spidermine_graph::{generate, GraphDatabase, LabeledGraph};
 use std::cmp::Reverse;
@@ -55,6 +54,7 @@ fn graph_key(g: &LabeledGraph) -> (Vec<u32>, Vec<(u32, u32)>) {
     )
 }
 
+/// The config `request(seed)` maps onto.
 fn spidermine_config(seed: u64) -> SpiderMineConfig {
     SpiderMineConfig {
         support_threshold: 2,
@@ -65,22 +65,43 @@ fn spidermine_config(seed: u64) -> SpiderMineConfig {
     }
 }
 
+fn request(algorithm: Algorithm, seed: u64) -> MineRequest {
+    MineRequest::new(algorithm)
+        .support_threshold(2)
+        .k(5)
+        .d_max(8)
+        .seed(seed)
+}
+
+/// Mines `source` through the request path with a fresh context.
+fn engine_outcome(request: MineRequest, source: GraphSource<'_>) -> MineOutcome {
+    request
+        .build()
+        .expect("valid request")
+        .mine(&source, &mut MineContext::new())
+        .expect("source accepted")
+}
+
 #[test]
 fn spidermine_engine_is_byte_identical_to_legacy_entry_point() {
     let host = planted_graph(11);
-    let config = spidermine_config(17);
-    let legacy = SpiderMiner::new(config.clone()).mine(&host);
-    let engine = SpiderMineEngine::new(config).expect("valid config");
-    let outcome = engine
-        .mine(&GraphSource::Single(&host), &mut MineContext::new())
-        .expect("single graph accepted");
+    let direct = SpiderMiner::new(spidermine_config(17)).mine_with(&host, &mut MineContext::new());
+    let outcome = engine_outcome(
+        request(Algorithm::SpiderMine, 17),
+        GraphSource::Single(&host),
+    );
     assert_eq!(outcome.algorithm, Algorithm::SpiderMine);
-    assert_eq!(outcome.patterns.len(), legacy.patterns.len());
-    for (new, old) in outcome.patterns.iter().zip(&legacy.patterns) {
+    assert_eq!(outcome.patterns.len(), direct.patterns.len());
+    for (new, old) in outcome.patterns.iter().zip(&direct.patterns) {
         assert_eq!(graph_key(&new.pattern), graph_key(&old.pattern));
         assert_eq!(new.support, old.support);
         assert_eq!(new.embeddings, old.embeddings);
     }
+    assert_eq!(outcome.stream_order, direct.stream_order);
+    assert_eq!(
+        outcome.dropped_embeddings,
+        direct.stats.merge_embeddings_dropped
+    );
     // The engine records the driver's stage timings.
     let stages: Vec<&str> = outcome.stages.iter().map(|t| t.stage).collect();
     assert_eq!(stages, vec!["spiders", "identify", "recover", "select"]);
@@ -93,13 +114,13 @@ fn transaction_engine_is_byte_identical_to_legacy_entry_point() {
         support_threshold: 3,
         ..spidermine_config(3)
     };
-    let legacy = TransactionMiner::new(config.clone()).mine(&db);
-    let engine = TransactionEngine::new(config).expect("valid config");
-    let outcome = engine
-        .mine(&GraphSource::Transactions(&db), &mut MineContext::new())
-        .expect("transaction db accepted");
-    assert_eq!(outcome.patterns.len(), legacy.patterns.len());
-    for (new, old) in outcome.patterns.iter().zip(&legacy.patterns) {
+    let direct = TransactionMiner::new(config).mine_with(&db, &mut MineContext::new());
+    let outcome = engine_outcome(
+        request(Algorithm::SpiderMineTransactions, 3).support_threshold(3),
+        GraphSource::Transactions(&db),
+    );
+    assert_eq!(outcome.patterns.len(), direct.patterns.len());
+    for (new, old) in outcome.patterns.iter().zip(&direct.patterns) {
         assert_eq!(graph_key(&new.pattern), graph_key(&old.pattern));
         assert_eq!(new.support, old.transaction_support);
     }
@@ -108,14 +129,19 @@ fn transaction_engine_is_byte_identical_to_legacy_entry_point() {
 #[test]
 fn subdue_engine_is_byte_identical_to_legacy_entry_point() {
     let host = planted_graph(23);
-    let config = SubdueConfig::default();
-    let legacy = subdue::run(&host, &config);
-    let outcome = SubdueEngine::new(config)
-        .expect("valid config")
-        .mine(&GraphSource::Single(&host), &mut MineContext::new())
-        .expect("single graph accepted");
-    assert_eq!(outcome.patterns.len(), legacy.patterns.len());
-    for (new, old) in outcome.patterns.iter().zip(&legacy.patterns) {
+    // A request's K is SUBDUE's report cap and σ its instance minimum.
+    let config = SubdueConfig {
+        report: 20,
+        min_instances: 2,
+        ..SubdueConfig::default()
+    };
+    let direct = subdue::run_with(&host, &config, &mut MineContext::new());
+    let outcome = engine_outcome(
+        MineRequest::new(Algorithm::Subdue).k(20),
+        GraphSource::Single(&host),
+    );
+    assert_eq!(outcome.patterns.len(), direct.patterns.len());
+    for (new, old) in outcome.patterns.iter().zip(&direct.patterns) {
         assert_eq!(graph_key(&new.pattern), graph_key(&old.pattern));
         assert_eq!(new.support, old.instances);
     }
@@ -128,13 +154,13 @@ fn moss_engine_is_byte_identical_to_legacy_entry_point() {
         max_edges: 6,
         ..MossConfig::default()
     };
-    let legacy = moss::run(&host, &config);
-    let outcome = MossEngine::new(config)
-        .expect("valid config")
-        .mine(&GraphSource::Single(&host), &mut MineContext::new())
-        .expect("single graph accepted");
-    assert_eq!(outcome.patterns.len(), legacy.patterns.len());
-    for (new, old) in outcome.patterns.iter().zip(&legacy.patterns) {
+    let direct = moss::run_with(&host, &config, &mut MineContext::new());
+    let outcome = engine_outcome(
+        MineRequest::new(Algorithm::Moss).max_pattern_edges(6),
+        GraphSource::Single(&host),
+    );
+    assert_eq!(outcome.patterns.len(), direct.patterns.len());
+    for (new, old) in outcome.patterns.iter().zip(&direct.patterns) {
         assert_eq!(graph_key(&new.pattern), graph_key(&old.pattern));
         assert_eq!(new.support, old.support);
     }
@@ -143,14 +169,13 @@ fn moss_engine_is_byte_identical_to_legacy_entry_point() {
 #[test]
 fn seus_engine_is_byte_identical_to_legacy_entry_point() {
     let host = planted_graph(41);
-    let config = SeusConfig::default();
-    let legacy = seus::run(&host, &config);
-    let outcome = SeusEngine::new(config)
-        .expect("valid config")
-        .mine(&GraphSource::Single(&host), &mut MineContext::new())
-        .expect("single graph accepted");
-    assert_eq!(outcome.patterns.len(), legacy.patterns.len());
-    for (new, old) in outcome.patterns.iter().zip(&legacy.patterns) {
+    let direct = seus::run_with(&host, &SeusConfig::default(), &mut MineContext::new());
+    let outcome = engine_outcome(
+        MineRequest::new(Algorithm::Seus),
+        GraphSource::Single(&host),
+    );
+    assert_eq!(outcome.patterns.len(), direct.patterns.len());
+    for (new, old) in outcome.patterns.iter().zip(&direct.patterns) {
         assert_eq!(graph_key(&new.pattern), graph_key(&old.pattern));
         assert_eq!(new.support, old.support);
     }
@@ -160,13 +185,13 @@ fn seus_engine_is_byte_identical_to_legacy_entry_point() {
 fn origami_engine_is_byte_identical_to_legacy_entry_point() {
     let db = planted_db(47);
     let config = OrigamiConfig::default();
-    let legacy = origami::run(&db, &config);
-    let outcome = OrigamiEngine::new(config)
-        .expect("valid config")
-        .mine(&GraphSource::Transactions(&db), &mut MineContext::new())
-        .expect("transaction db accepted");
-    assert_eq!(outcome.patterns.len(), legacy.patterns.len());
-    for (new, old) in outcome.patterns.iter().zip(&legacy.patterns) {
+    let direct = origami::run_with(&db, &config, &mut MineContext::new());
+    let outcome = engine_outcome(
+        MineRequest::new(Algorithm::Origami).seed(config.rng_seed),
+        GraphSource::Transactions(&db),
+    );
+    assert_eq!(outcome.patterns.len(), direct.patterns.len());
+    for (new, old) in outcome.patterns.iter().zip(&direct.patterns) {
         assert_eq!(graph_key(&new.pattern), graph_key(&old.pattern));
         assert_eq!(new.support, old.support);
     }
@@ -224,28 +249,28 @@ fn invalid_requests_name_the_offending_field() {
     }
 }
 
-/// Mines `source` with a streaming sink installed; returns the streamed
-/// patterns' encodings and the outcome.
-fn mine_streaming(engine: &impl Miner, source: &GraphSource<'_>) -> (Vec<Vec<u8>>, MineOutcome) {
+/// Runs `mine` with a streaming sink installed on its context; returns the
+/// streamed patterns' encodings and what `mine` returned.
+fn mine_streaming<T>(mine: impl FnOnce(&mut MineContext) -> T) -> (Vec<Vec<u8>>, T) {
     let streamed: Arc<Mutex<Vec<Vec<u8>>>> = Arc::default();
     let sink = streamed.clone();
     let mut ctx =
         MineContext::new().on_pattern(move |p| sink.lock().unwrap().push(encode_pattern(&p)));
-    let outcome = engine.mine(source, &mut ctx).expect("mine");
+    let mined = mine(&mut ctx);
     let streamed = std::mem::take(&mut *streamed.lock().unwrap());
-    (streamed, outcome)
+    (streamed, mined)
 }
 
-/// The outcome's patterns in the order the run streamed them, per
-/// `MineOutcome::stream_order` (empty = outcome order). Panics unless that
-/// order is a permutation of the outcome.
-fn in_stream_order(outcome: &MineOutcome) -> Vec<Vec<u8>> {
-    let returned: Vec<Vec<u8>> = outcome.patterns.iter().map(encode_pattern).collect();
-    if outcome.stream_order.is_empty() {
+/// `patterns` in the order the run streamed them, per `stream_order` (empty
+/// = the given order). Panics unless that order is a permutation of
+/// `patterns`.
+fn in_stream_order(patterns: &[StreamedPattern], stream_order: &[usize]) -> Vec<Vec<u8>> {
+    let returned: Vec<Vec<u8>> = patterns.iter().map(encode_pattern).collect();
+    if stream_order.is_empty() {
         return returned;
     }
     let mut by_seq: Vec<Option<Vec<u8>>> = vec![None; returned.len()];
-    for (bytes, &seq) in returned.into_iter().zip(&outcome.stream_order) {
+    for (bytes, &seq) in returned.into_iter().zip(stream_order) {
         assert!(by_seq[seq].replace(bytes).is_none(), "seq {seq} used twice");
     }
     by_seq
@@ -274,12 +299,16 @@ fn every_algorithm_streams_its_outcome_in_the_stated_order() {
         } else {
             GraphSource::Single(&host)
         };
-        let (streamed, outcome) = mine_streaming(&engine, &source);
+        let (streamed, outcome) = mine_streaming(|ctx| engine.mine(&source, ctx).expect("mine"));
         assert!(
             !outcome.patterns.is_empty(),
             "{algo} returned nothing to compare"
         );
-        assert_eq!(streamed, in_stream_order(&outcome), "{algo}");
+        assert_eq!(
+            streamed,
+            in_stream_order(&outcome.patterns, &outcome.stream_order),
+            "{algo}"
+        );
         if algo != Algorithm::SpiderMine {
             assert!(
                 outcome.stream_order.is_empty(),
@@ -298,36 +327,42 @@ fn every_algorithm_streams_its_outcome_in_the_stated_order() {
 /// not: the permutation is not the identity, and the check is not vacuous.
 #[test]
 fn spidermine_stream_order_maps_its_acceptance_stream_onto_the_ranked_list() {
-    let acceptance_key = |p: &spidermine_engine::StreamedPattern| {
-        Reverse((p.pattern.edge_count(), p.embeddings.len()))
-    };
+    let acceptance_key =
+        |p: &StreamedPattern| Reverse((p.pattern.edge_count(), p.embeddings.len()));
     let host = planted_graph(11);
-    let engine = SpiderMineEngine::new(SpiderMineConfig {
+    // Closure refinement is not a request field, so this drives the miner's
+    // own entry point.
+    let miner = SpiderMiner::new(SpiderMineConfig {
         closure_refinement: false,
         k: 10,
         ..spidermine_config(RERANKED_SEED)
-    })
-    .expect("valid config");
-    let (streamed, outcome) = mine_streaming(&engine, &GraphSource::Single(&host));
+    });
+    let (streamed, result) = mine_streaming(|ctx| miner.mine_with(&host, ctx));
+    let patterns: Vec<StreamedPattern> = result
+        .patterns
+        .into_iter()
+        .map(|p| StreamedPattern {
+            pattern: p.pattern,
+            support: p.support,
+            embeddings: p.embeddings,
+        })
+        .collect();
     assert!(
-        !outcome
-            .patterns
+        !patterns
             .windows(2)
             .all(|w| acceptance_key(&w[0]) <= acceptance_key(&w[1])),
         "ranking kept the acceptance order: the check below would be vacuous"
     );
-    assert!(outcome
+    assert!(result
         .stream_order
         .iter()
         .enumerate()
         .any(|(i, &seq)| i != seq));
-    assert_eq!(streamed, in_stream_order(&outcome));
+    assert_eq!(streamed, in_stream_order(&patterns, &result.stream_order));
     // The record describes the run, not the sink: a sink-less run of the
-    // same request reports the same order.
-    let quiet = engine
-        .mine(&GraphSource::Single(&host), &mut MineContext::new())
-        .expect("single graph accepted");
-    assert_eq!(quiet.stream_order, outcome.stream_order);
+    // same config reports the same order.
+    let quiet = miner.mine_with(&host, &mut MineContext::new());
+    assert_eq!(quiet.stream_order, result.stream_order);
 }
 
 /// ISSUE-4: the work-stealing runtime's reductions are order-preserving, so
@@ -387,51 +422,6 @@ fn outcomes_are_byte_identical_across_thread_counts() {
             );
         }
     }
-}
-
-#[test]
-fn raw_engine_constructors_also_validate() {
-    assert_eq!(
-        SubdueEngine::new(SubdueConfig {
-            min_instances: 0,
-            ..SubdueConfig::default()
-        })
-        .expect_err("rejected")
-        .field(),
-        Some("min_instances")
-    );
-    assert_eq!(
-        MossEngine::new(MossConfig {
-            support_threshold: 0,
-            ..MossConfig::default()
-        })
-        .expect_err("rejected")
-        .field(),
-        Some("support_threshold")
-    );
-    assert_eq!(
-        OrigamiEngine::new(OrigamiConfig {
-            samples: 0,
-            ..OrigamiConfig::default()
-        })
-        .expect_err("rejected")
-        .field(),
-        Some("samples")
-    );
-    assert_eq!(
-        SeusEngine::new(SeusConfig {
-            max_vertices: 1,
-            ..SeusConfig::default()
-        })
-        .expect_err("rejected")
-        .field(),
-        Some("max_vertices")
-    );
-    assert!(SpiderMineEngine::new(SpiderMineConfig {
-        support_threshold: 0,
-        ..SpiderMineConfig::default()
-    })
-    .is_err());
 }
 
 #[test]

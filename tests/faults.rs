@@ -14,7 +14,7 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use spidermine_engine::wire::encode_outcome_semantic;
-use spidermine_engine::{Algorithm, GraphSource, MineContext, MineRequest, Miner};
+use spidermine_engine::{Algorithm, GraphSource, MineContext, MineRequest};
 use spidermine_faultline::{FaultInjector, FaultPlan, FaultSite, RetryPolicy};
 use spidermine_graph::io::LoadMode;
 use spidermine_graph::{generate, io, LabeledGraph};
@@ -34,18 +34,53 @@ fn serial() -> MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// What a watched scenario is doing: the step it last began and when. A
+/// watchdog trip reports it, which tells a hang (one step stuck for most of
+/// the budget) from a slow scenario (steps kept finishing until time ran
+/// out).
+#[derive(Clone)]
+struct Progress {
+    started: Instant,
+    last: Arc<Mutex<Option<(String, Instant)>>>,
+}
+
+impl Progress {
+    /// Records that the scenario began `step`.
+    fn step(&self, step: String) {
+        *self.last.lock().unwrap_or_else(PoisonError::into_inner) = Some((step, Instant::now()));
+    }
+
+    fn report(&self) -> String {
+        match &*self.last.lock().unwrap_or_else(PoisonError::into_inner) {
+            Some((step, at)) => format!(
+                "last step: {step}, begun {:.1?} into the scenario and running for {:.1?}",
+                at.duration_since(self.started),
+                at.elapsed()
+            ),
+            None => "no step recorded".to_owned(),
+        }
+    }
+}
+
 /// Runs `body` under a watchdog: a scenario that outlives `timeout` is a
 /// hang, and hangs are failures — the suite must never sit silent in CI.
+/// `body` may record its steps in the [`Progress`] it is given; the timeout
+/// panic names the last one.
 fn with_watchdog<T: Send + 'static>(
     name: &str,
     timeout: Duration,
-    body: impl FnOnce() -> T + Send + 'static,
+    body: impl FnOnce(&Progress) -> T + Send + 'static,
 ) -> T {
+    let progress = Progress {
+        started: Instant::now(),
+        last: Arc::default(),
+    };
     let (tx, rx) = mpsc::channel();
+    let worker_progress = progress.clone();
     let worker = std::thread::Builder::new()
         .name(format!("watchdog-{name}"))
         .spawn(move || {
-            let _ = tx.send(body());
+            let _ = tx.send(body(&worker_progress));
         })
         .expect("spawn watchdog worker");
     match rx.recv_timeout(timeout) {
@@ -58,9 +93,22 @@ fn with_watchdog<T: Send + 'static>(
             Ok(_) => unreachable!("worker exited without sending"),
         },
         Err(mpsc::RecvTimeoutError::Timeout) => {
-            panic!("scenario `{name}` hung past {timeout:?}")
+            panic!(
+                "scenario `{name}` hung past {timeout:?}; {}",
+                progress.report()
+            )
         }
     }
+}
+
+/// A watchdog trip names the step the scenario was stuck in.
+#[test]
+#[should_panic(expected = "last step: the stuck step, begun")]
+fn watchdog_trip_reports_the_last_step() {
+    with_watchdog("stuck", Duration::from_millis(50), |progress| {
+        progress.step("the stuck step".to_owned());
+        std::thread::sleep(Duration::from_secs(1));
+    });
 }
 
 /// A small host that mines in milliseconds.
@@ -112,7 +160,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 #[test]
 fn disk_fault_sweep_typed_errors_and_clean_recovery() {
     let _serial = serial();
-    with_watchdog("disk-sweep", Duration::from_secs(120), || {
+    with_watchdog("disk-sweep", Duration::from_secs(120), |progress| {
         let dir = temp_dir("disk");
         let host = small_graph(3);
         let vertices = host.vertex_count();
@@ -126,6 +174,7 @@ fn disk_fault_sweep_typed_errors_and_clean_recovery() {
         ];
         for seed in 0..80u64 {
             let plan = FaultPlan::random_for(seed, &SITES);
+            progress.step(format!("plan {seed} of 80 `{plan}`"));
             let injector = FaultInjector::install(&plan);
 
             // A faulted save must be atomic: either the file lands whole or
@@ -192,7 +241,7 @@ fn disk_fault_sweep_typed_errors_and_clean_recovery() {
 #[test]
 fn exec_fault_sweep_retries_to_identical_or_fails_typed() {
     let _serial = serial();
-    with_watchdog("exec-sweep", Duration::from_secs(240), || {
+    with_watchdog("exec-sweep", Duration::from_secs(240), |progress| {
         let host = small_graph(4);
         let service = MiningService::new(ServiceConfig {
             dispatchers: 2,
@@ -203,6 +252,7 @@ fn exec_fault_sweep_retries_to_identical_or_fails_typed() {
 
         for seed in 0..60u64 {
             let plan = FaultPlan::random_for(seed, &[FaultSite::ExecRun]);
+            progress.step(format!("plan {seed} of 60 `{plan}`"));
             let injector = FaultInjector::install(&plan);
             // A fresh request seed per plan: cache hits never re-execute, so
             // only fresh runs exercise the execution site.
@@ -250,7 +300,7 @@ fn exec_fault_sweep_retries_to_identical_or_fails_typed() {
 #[test]
 fn wire_fault_sweep_resilient_client_recovers_or_fails_typed() {
     let _serial = serial();
-    with_watchdog("wire-sweep", Duration::from_secs(240), || {
+    with_watchdog("wire-sweep", Duration::from_secs(240), |progress| {
         let host = small_graph(5);
         let reference = reference_bytes(&host, 11);
         let service = Arc::new(MiningService::new(ServiceConfig::default()));
@@ -273,6 +323,7 @@ fn wire_fault_sweep_resilient_client_recovers_or_fails_typed() {
         let mut recovered = 0u32;
         for seed in 0..80u64 {
             let plan = FaultPlan::random_for(seed, &SITES);
+            progress.step(format!("plan {seed} of 80 `{plan}`"));
             let injector = FaultInjector::install(&plan);
             let client = match ResilientClient::connect(
                 &addr,
@@ -328,7 +379,7 @@ fn wire_fault_sweep_resilient_client_recovers_or_fails_typed() {
 #[test]
 fn reconnect_resume_is_cache_served_and_byte_identical() {
     let _serial = serial();
-    with_watchdog("reconnect-resume", Duration::from_secs(60), || {
+    with_watchdog("reconnect-resume", Duration::from_secs(60), |_| {
         let host = small_graph(6);
         let reference = reference_bytes(&host, 11);
         let service = Arc::new(MiningService::new(ServiceConfig::default()));
@@ -384,7 +435,7 @@ fn server_drain_resolves_every_waiter_and_stops_accepting() {
     // No injector needed, but hold an empty plan so concurrent sweep tests
     // (which do install plans) cannot fire into this scenario's sockets.
     let _quiesce = FaultInjector::install(&FaultPlan::new());
-    with_watchdog("server-drain", Duration::from_secs(60), || {
+    with_watchdog("server-drain", Duration::from_secs(60), |_| {
         let service = Arc::new(MiningService::new(ServiceConfig {
             dispatchers: 1,
             ..ServiceConfig::default()
@@ -445,7 +496,7 @@ fn server_drain_resolves_every_waiter_and_stops_accepting() {
 fn service_drain_cancels_stragglers_and_settles_queued_jobs() {
     let _serial = serial();
     let _quiesce = FaultInjector::install(&FaultPlan::new());
-    with_watchdog("service-drain", Duration::from_secs(60), || {
+    with_watchdog("service-drain", Duration::from_secs(60), |_| {
         let service = MiningService::new(ServiceConfig {
             dispatchers: 1,
             ..ServiceConfig::default()
@@ -482,7 +533,7 @@ fn service_drain_cancels_stragglers_and_settles_queued_jobs() {
 fn idle_connections_are_reaped_but_heartbeats_keep_clients_alive() {
     let _serial = serial();
     let _quiesce = FaultInjector::install(&FaultPlan::new());
-    with_watchdog("idle-reap", Duration::from_secs(60), || {
+    with_watchdog("idle-reap", Duration::from_secs(60), |_| {
         let service = Arc::new(MiningService::new(ServiceConfig::default()));
         service.catalog().register("net", small_graph(9));
         let server = MiningServer::bind(
@@ -531,7 +582,7 @@ fn idle_connections_are_reaped_but_heartbeats_keep_clients_alive() {
 fn connect_with_policy_retries_until_server_appears() {
     let _serial = serial();
     let _quiesce = FaultInjector::install(&FaultPlan::new());
-    with_watchdog("connect-backoff", Duration::from_secs(60), || {
+    with_watchdog("connect-backoff", Duration::from_secs(60), |_| {
         // Reserve an address, then release it so the first attempts refuse.
         let addr = {
             let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind probe");

@@ -5,6 +5,7 @@
 use spidermine::{SpiderMineConfig, SpiderMiner, TransactionMiner};
 use spidermine_datasets::synthetic::{GidConfig, SyntheticDataset};
 use spidermine_datasets::transactions::{TransactionConfig, TransactionDataset};
+use spidermine_engine::MineContext;
 use spidermine_graph::traversal;
 use spidermine_mining::embedding::EmbeddedPattern;
 
@@ -41,7 +42,7 @@ fn default_miner(k: usize, d_max: u32) -> SpiderMiner {
 #[test]
 fn spidermine_recovers_large_planted_patterns_from_gid_style_data() {
     let dataset = small_gid_like();
-    let result = default_miner(10, 6).mine(&dataset.graph);
+    let result = default_miner(10, 6).mine_with(&dataset.graph, &mut MineContext::new());
     assert!(!result.patterns.is_empty(), "mining returned nothing");
     // The largest returned pattern should be in the ballpark of the injected
     // 20-vertex patterns, far larger than the 3-vertex distractors.
@@ -63,7 +64,7 @@ fn spidermine_recovers_large_planted_patterns_from_gid_style_data() {
 #[test]
 fn spidermine_beats_the_small_distractors() {
     let dataset = small_gid_like();
-    let result = default_miner(5, 6).mine(&dataset.graph);
+    let result = default_miner(5, 6).mine_with(&dataset.graph, &mut MineContext::new());
     let distractor_size = dataset.config.small_pattern_vertices;
     // At least the top pattern must exceed every distractor.
     assert!(result.largest_vertices() > distractor_size);
@@ -72,7 +73,7 @@ fn spidermine_beats_the_small_distractors() {
 #[test]
 fn stats_reflect_the_three_stages() {
     let dataset = small_gid_like();
-    let result = default_miner(5, 6).mine(&dataset.graph);
+    let result = default_miner(5, 6).mine_with(&dataset.graph, &mut MineContext::new());
     let stats = &result.stats;
     assert!(stats.spider_count > 0, "Stage I produced no spiders");
     assert!(stats.seed_count >= 2, "Stage II drew fewer than 2 seeds");
@@ -84,7 +85,7 @@ fn stats_reflect_the_three_stages() {
 fn diameter_of_returned_patterns_is_controlled() {
     let dataset = small_gid_like();
     let d_max = 6;
-    let result = default_miner(5, d_max).mine(&dataset.graph);
+    let result = default_miner(5, d_max).mine_with(&dataset.graph, &mut MineContext::new());
     for p in &result.patterns {
         // Growth stops once the bound is reached; a single extra layer may
         // overshoot by at most 2 (see DESIGN.md), never more.
@@ -119,7 +120,7 @@ fn transaction_setting_end_to_end() {
         rng_seed: 7,
         ..SpiderMineConfig::default()
     })
-    .mine(&dataset.database);
+    .mine_with(&dataset.database, &mut MineContext::new());
     assert!(!result.patterns.is_empty());
     for p in &result.patterns {
         assert!(p.transaction_support >= 3);
@@ -132,8 +133,8 @@ fn transaction_setting_end_to_end() {
 #[test]
 fn mining_is_reproducible_across_runs() {
     let dataset = small_gid_like();
-    let a = default_miner(5, 6).mine(&dataset.graph);
-    let b = default_miner(5, 6).mine(&dataset.graph);
+    let a = default_miner(5, 6).mine_with(&dataset.graph, &mut MineContext::new());
+    let b = default_miner(5, 6).mine_with(&dataset.graph, &mut MineContext::new());
     let key = |r: &spidermine::MiningResult| -> Vec<(usize, usize, usize)> {
         r.patterns
             .iter()

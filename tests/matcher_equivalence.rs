@@ -265,14 +265,14 @@ proptest! {
             fast.len(),
             slow.len()
         );
-        // Both execution paths (sequential in-place and parallel chunked)
-        // must match the reference, whatever `mine` picked for this machine.
-        for sequential in [true, false] {
-            let pinned = SpiderCatalog::mine_with_mode(&host, &config, sequential);
+        // The catalog matches the reference at every pool width, whatever
+        // the machine's default width is.
+        for width in [1, 2, 4] {
+            let pinned = rayon::with_width(width, || SpiderCatalog::mine(&host, &config));
             prop_assert!(
                 spider_reference::catalogs_equal(&pinned, &slow),
-                "{} catalog path diverges from the reference",
-                if sequential { "sequential" } else { "parallel" }
+                "width {} catalog diverges from the reference",
+                width
             );
         }
         // Spider-support counting agrees at every vertex.

@@ -260,7 +260,7 @@ proptest! {
     #[test]
     fn snapshot_load_paths_are_mining_equivalent(g in arbitrary_graph(14, 4)) {
         use spidermine_engine::wire::encode_outcome_semantic;
-        use spidermine_engine::{Algorithm, GraphSource, MineContext, MineRequest, Miner as _};
+        use spidermine_engine::{Algorithm, GraphSource, MineContext, MineRequest};
         use spidermine_graph::GraphDatabase;
         use std::sync::atomic::{AtomicUsize, Ordering};
 

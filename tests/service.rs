@@ -4,7 +4,7 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use spidermine_engine::{Algorithm, GraphSource, MineContext, MineOutcome, MineRequest, Miner};
+use spidermine_engine::{Algorithm, GraphSource, MineContext, MineOutcome, MineRequest};
 use spidermine_graph::{generate, io, LabeledGraph};
 use spidermine_service::{GraphCatalog, JobStatus, MiningService, ServiceConfig, ServiceError};
 use std::sync::Arc;

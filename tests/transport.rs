@@ -9,12 +9,12 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use spidermine_engine::wire::encode_outcome_semantic;
-use spidermine_engine::{Algorithm, GraphSource, MineContext, MineRequest, Miner};
+use spidermine_engine::{Algorithm, GraphSource, MineContext, MineRequest};
 use spidermine_graph::{generate, LabeledGraph};
 use spidermine_service::{MiningService, ServiceConfig};
 use spidermine_transport::frame::{encode_frame, read_frame};
 use spidermine_transport::{
-    Frame, MiningClient, MiningServer, TransportConfig, TransportError, WireRejection,
+    Frame, MiningClient, MiningServer, RetryPolicy, TransportConfig, TransportError, WireRejection,
 };
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -249,7 +249,12 @@ fn admission_rejections_are_typed_not_closed_sockets() {
     // scheduler's queue (depth 1) is full — a *different* client's request
     // passes its quota but bounces off the queue limit. Backoff-connect
     // because the server reaps the just-dropped second socket asynchronously.
-    let other = MiningClient::connect_with_backoff(addr, "other", 40, Duration::from_millis(25))
+    let backoff = RetryPolicy {
+        max_attempts: 40,
+        base_delay: Duration::from_millis(25),
+        ..RetryPolicy::default()
+    };
+    let (other, _) = MiningClient::connect_with_policy(addr, "other", &backoff)
         .expect("connect once the dropped socket is reaped");
     match other.submit("slow", &request().seed(15)) {
         Err(TransportError::Rejected(WireRejection::QueueFull { depth, limit })) => {

@@ -12,7 +12,7 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use spidermine_engine::wire::encode_outcome_semantic;
-use spidermine_engine::{Algorithm, GraphSource, MineContext, MineRequest, Miner};
+use spidermine_engine::{Algorithm, GraphSource, MineContext, MineRequest};
 use spidermine_graph::{generate, LabeledGraph};
 use spidermine_service::{MiningService, ServiceConfig};
 use spidermine_transport::{MiningClient, MiningServer, TransportConfig};
